@@ -267,9 +267,10 @@ impl Renderer {
         ds.batches = (batches.len() * d.instances.len()) as u64;
 
         let mut vs_ctas: Vec<CtaTrace> = Vec::new();
-        // (fragment, attribute address of its primitive) pairs.
-        let mut frags: Vec<(Fragment, u64)> = Vec::new();
+        // (fragment, attribute address of its primitive) pairs, one bin
+        // per screen tile, each in emission order.
         let grid = TileGrid::new(self.cfg.width, self.cfg.height);
+        let mut bins: Vec<Vec<(Fragment, u64)>> = vec![Vec::new(); grid.count() as usize];
 
         let mut index_pos = 0u64; // running cursor into the index buffer
         for (inst_idx, inst) in d.instances.iter().enumerate() {
@@ -324,25 +325,16 @@ impl Renderer {
                     }
                     let attr_addr = attr_base + p[0] as u64 * ATTR_STRIDE;
                     for f in rasterize(&tri, &mut self.fb) {
-                        frags.push((f, attr_addr));
+                        bins[f.tile(grid.tiles_x) as usize].push((f, attr_addr));
                     }
                 }
             }
         }
-        ds.fragments = frags.len() as u64;
+        ds.fragments = bins.iter().map(|b| b.len() as u64).sum();
         let mut tex_rows: std::collections::HashSet<u64> = std::collections::HashSet::new();
 
-        // Tile/quad-order sort: fragments grouped by screen locality so
-        // quads form naturally within warps (paper's approximated quads).
-        frags.sort_by_key(|(f, _)| {
-            (
-                f.tile(grid.tiles_x),
-                (f.y & !1, f.x & !1),
-                (f.y & 1, f.x & 1),
-            )
-        });
-
-        let fs_ctas = self.fs_ctas(d, &frags, &mut ds, &mut tex_rows);
+        sort_bins_by_quad(&mut bins);
+        let fs_ctas = self.fs_ctas(d, bins.iter().flatten(), &mut ds, &mut tex_rows);
         ds.tex_rows = tex_rows.len() as u64;
         let vs_kernel = KernelTrace::new(
             format!("vs:{}", d.name),
@@ -459,18 +451,23 @@ impl Renderer {
         CtaTrace::new(warps)
     }
 
-    /// Build the fragment-shading kernel CTAs and shade the framebuffer.
-    fn fs_ctas(
+    /// Build the fragment-shading kernel CTAs, packing `frags` 32 to a
+    /// warp in the order given, and shade the framebuffer.
+    fn fs_ctas<'a>(
         &mut self,
         d: &DrawCall,
-        frags: &[(Fragment, u64)],
+        frags: impl Iterator<Item = &'a (Fragment, u64)>,
         ds: &mut DrawStats,
         tex_rows: &mut std::collections::HashSet<u64>,
     ) -> Vec<CtaTrace> {
         let mut ctas = Vec::new();
         let mut warps: Vec<WarpTrace> = Vec::new();
-        for chunk in frags.chunks(WARP_SIZE) {
-            warps.push(self.fs_warp(d, chunk, ds, tex_rows));
+        let mut frags = frags.peekable();
+        let mut chunk = Vec::with_capacity(WARP_SIZE);
+        while frags.peek().is_some() {
+            chunk.clear();
+            chunk.extend(frags.by_ref().take(WARP_SIZE).copied());
+            warps.push(self.fs_warp(d, &chunk, ds, tex_rows));
             if warps.len() == self.cfg.fs_warps_per_cta {
                 ctas.push(CtaTrace::new(std::mem::take(&mut warps)));
             }
@@ -646,6 +643,18 @@ fn offscreen(tri: &[ScreenVertex; 3], w: u32, h: u32) -> bool {
         || tri.iter().all(|v| v.sy >= hf)
 }
 
+/// Tile/quad-order sort: fragments grouped by screen locality so quads
+/// form naturally within warps (paper's approximated quads). `bins` holds
+/// one bin per tile, in tile order, each in emission order; sorting every
+/// bin stably by quad makes the bins, walked in order, one stable sort of
+/// the draw by tile and quad. No buffer the size of the draw is needed, so
+/// a large draw asks the allocator for no multi-MiB block.
+fn sort_bins_by_quad(bins: &mut [Vec<(Fragment, u64)>]) {
+    for bin in bins {
+        bin.sort_by_key(|(f, _)| ((f.y & !1, f.x & !1), (f.y & 1, f.x & 1)));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -739,6 +748,46 @@ mod tests {
         let d = &stats.draws[0];
         let covered_px = (cov * 64.0 * 64.0).round() as u64;
         assert_eq!(d.fragments, covered_px, "no overdraw on a single quad");
+    }
+
+    #[test]
+    fn binned_quad_sort_matches_one_stable_sort_of_the_draw() {
+        // Overdrawn pixels (several fragments per pixel, told apart by
+        // their attribute address) in scattered emission order.
+        let grid = TileGrid::new(50, 40);
+        let mut seed = 7u64;
+        let emitted: Vec<(Fragment, u64)> = (0..4000u64)
+            .map(|i| {
+                seed = seed
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let f = Fragment {
+                    x: (seed >> 33) as u32 % 50,
+                    y: (seed >> 45) as u32 % 40,
+                    z: 0.5,
+                    uv: Vec2::default(),
+                    duv_dx: Vec2::default(),
+                    duv_dy: Vec2::default(),
+                    normal: Vec3::ZERO,
+                    layer: 0,
+                };
+                (f, i)
+            })
+            .collect();
+        let mut bins = vec![Vec::new(); grid.count() as usize];
+        for &(f, a) in &emitted {
+            bins[f.tile(grid.tiles_x) as usize].push((f, a));
+        }
+        sort_bins_by_quad(&mut bins);
+        let mut whole = emitted;
+        whole.sort_by_key(|(f, _)| {
+            (
+                f.tile(grid.tiles_x),
+                (f.y & !1, f.x & !1),
+                (f.y & 1, f.x & 1),
+            )
+        });
+        assert!(bins.iter().flatten().eq(whole.iter()));
     }
 
     #[test]

@@ -97,20 +97,21 @@ impl L2Bank {
         wb
     }
 
-    /// A DRAM fill for `sector_addr` arrived. Installs the sector and
-    /// returns `(waiting tokens, victim writeback)`.
+    /// A DRAM fill for `sector_addr` arrived. Installs the sector, hands
+    /// every waiting token to `wake`, and returns the victim writeback.
     pub fn fill(
         &mut self,
         sector_addr: u64,
         stream: StreamId,
         class: DataClass,
         window: (u64, u64),
-    ) -> (Vec<ReqToken>, Option<Writeback>) {
+        wake: impl FnMut(ReqToken),
+    ) -> Option<Writeback> {
         let line = sector_addr & !(crisp_trace::LINE_BYTES - 1);
         let sector = (sector_addr % crisp_trace::LINE_BYTES) / crisp_trace::SECTOR_BYTES;
         let wb = self.cache.fill(line, sector, stream, class, false, window);
-        let waiters = self.mshr.on_fill(sector_addr);
-        (waiters, wb)
+        self.mshr.on_fill(sector_addr, wake);
+        wb
     }
 
     /// In-flight DRAM fetches.
@@ -194,8 +195,9 @@ mod tests {
         assert_eq!(b.read(&rd(0x100, 1), w), L2Outcome::MissToDram);
         assert_eq!(b.read(&rd(0x100, 2), w), L2Outcome::Merged);
         assert_eq!(b.in_flight(), 1);
-        let (waiters, wb) = b.fill(0x100, S, DataClass::Compute, w);
-        assert_eq!(waiters.len(), 2);
+        let mut waiters = Vec::new();
+        let wb = b.fill(0x100, S, DataClass::Compute, w, |t| waiters.push(t.id));
+        assert_eq!(waiters, vec![1, 2]);
         assert!(wb.is_none());
         assert_eq!(b.read(&rd(0x100, 3), w), L2Outcome::Hit);
     }

@@ -24,15 +24,17 @@ pub enum MshrOutcome {
     Full,
 }
 
-#[derive(Debug, Clone, Default)]
-struct Entry {
-    waiters: Vec<ReqToken>,
-}
-
 /// The MSHR table, keyed by sector address.
+///
+/// Waiter lists are recycled: a fill hands its list back to `spare`, and
+/// the next allocation takes it from there. A list is created with room for
+/// `max_merges` waiters and the table and spare pool with room for
+/// `max_entries`, so once the table has seen its peak occupancy, tracking a
+/// miss, merging onto it and filling it never allocate.
 #[derive(Debug, Clone)]
 pub struct Mshr {
-    entries: HashMap<u64, Entry>,
+    entries: HashMap<u64, Vec<ReqToken>>,
+    spare: Vec<Vec<ReqToken>>,
     max_entries: usize,
     max_merges: usize,
 }
@@ -43,7 +45,8 @@ impl Mshr {
     pub fn new(max_entries: usize, max_merges: usize) -> Self {
         assert!(max_entries > 0 && max_merges > 0);
         Mshr {
-            entries: HashMap::new(),
+            entries: HashMap::with_capacity(max_entries),
+            spare: Vec::with_capacity(max_entries),
             max_entries,
             max_merges,
         }
@@ -51,31 +54,34 @@ impl Mshr {
 
     /// Track a miss on `sector_addr` for `token`.
     pub fn on_miss(&mut self, sector_addr: u64, token: ReqToken) -> MshrOutcome {
-        if let Some(e) = self.entries.get_mut(&sector_addr) {
-            if e.waiters.len() >= self.max_merges {
+        if let Some(waiters) = self.entries.get_mut(&sector_addr) {
+            if waiters.len() >= self.max_merges {
                 return MshrOutcome::Full;
             }
-            e.waiters.push(token);
+            waiters.push(token);
             return MshrOutcome::Merged;
         }
         if self.entries.len() >= self.max_entries {
             return MshrOutcome::Full;
         }
-        self.entries.insert(
-            sector_addr,
-            Entry {
-                waiters: vec![token],
-            },
-        );
+        let mut waiters = self
+            .spare
+            .pop()
+            .unwrap_or_else(|| Vec::with_capacity(self.max_merges));
+        waiters.push(token);
+        self.entries.insert(sector_addr, waiters);
         MshrOutcome::Allocated
     }
 
-    /// A fill for `sector_addr` arrived; returns every waiting token.
-    pub fn on_fill(&mut self, sector_addr: u64) -> Vec<ReqToken> {
-        self.entries
-            .remove(&sector_addr)
-            .map(|e| e.waiters)
-            .unwrap_or_default()
+    /// A fill for `sector_addr` arrived: hand every waiting token to
+    /// `wake`, in arrival order, and release the entry.
+    pub fn on_fill(&mut self, sector_addr: u64, mut wake: impl FnMut(ReqToken)) {
+        if let Some(mut waiters) = self.entries.remove(&sector_addr) {
+            for t in waiters.drain(..) {
+                wake(t);
+            }
+            self.spare.push(waiters);
+        }
     }
 
     /// Whether a fetch for `sector_addr` is already in flight.
@@ -88,7 +94,7 @@ impl Mshr {
     /// callers test for a stall *before* touching cache statistics.
     pub fn can_accept(&self, sector_addr: u64) -> bool {
         match self.entries.get(&sector_addr) {
-            Some(e) => e.waiters.len() < self.max_merges,
+            Some(waiters) => waiters.len() < self.max_merges,
             None => self.entries.len() < self.max_entries,
         }
     }
@@ -112,7 +118,7 @@ impl CheckpointState for Mshr {
         w.len(sectors.len())?;
         for s in sectors {
             w.u64(s)?;
-            let waiters = &self.entries[&s].waiters;
+            let waiters = &self.entries[&s];
             w.len(waiters.len())?;
             for t in waiters {
                 t.save(w, ())?;
@@ -137,12 +143,15 @@ impl CheckpointState for Mshr {
             for _ in 0..n_waiters {
                 waiters.push(ReqToken::restore(r, ())?);
             }
-            if entries.insert(sector, Entry { waiters }).is_some() {
+            if entries.insert(sector, waiters).is_some() {
                 return Err(bad("duplicate mshr sector"));
             }
         }
+        // Sized by the data, not the configured capacities: the buffers
+        // grow back to their working sizes as the resumed run goes.
         Ok(Mshr {
             entries,
+            spare: Vec::new(),
             max_entries,
             max_merges,
         })
@@ -164,9 +173,23 @@ mod tests {
         assert_eq!(m.on_miss(0x100, tok(2)), MshrOutcome::Merged);
         assert!(m.is_pending(0x100));
         assert_eq!(m.in_flight(), 1);
-        let waiters = m.on_fill(0x100);
+        let mut waiters = Vec::new();
+        m.on_fill(0x100, |t| waiters.push(t));
         assert_eq!(waiters, vec![tok(1), tok(2)]);
         assert!(!m.is_pending(0x100));
+    }
+
+    #[test]
+    fn released_waiter_lists_are_reused() {
+        let mut m = Mshr::new(4, 4);
+        assert_eq!(m.on_miss(0x100, tok(1)), MshrOutcome::Allocated);
+        m.on_fill(0x100, |_| {});
+        assert_eq!(m.spare.len(), 1, "the fill parks its list");
+        assert_eq!(m.on_miss(0x200, tok(2)), MshrOutcome::Allocated);
+        assert!(m.spare.is_empty(), "the next allocation takes it back");
+        let mut waiters = Vec::new();
+        m.on_fill(0x200, |t| waiters.push(t));
+        assert_eq!(waiters, vec![tok(2)], "a reused list starts empty");
     }
 
     #[test]
@@ -190,6 +213,6 @@ mod tests {
     #[test]
     fn fill_of_untracked_sector_returns_empty() {
         let mut m = Mshr::new(2, 2);
-        assert!(m.on_fill(0xdead).is_empty());
+        m.on_fill(0xdead, |t| panic!("untracked sector woke {t:?}"));
     }
 }

@@ -111,21 +111,22 @@ impl SmMemPort {
         self.egress.push_back(req);
     }
 
-    /// A response from the shared hierarchy: fill the L1 sector and wake
-    /// every load merged on it.
+    /// A response from the shared hierarchy: fill the L1 sector and hand
+    /// every load merged on it to `wake`.
     pub(crate) fn on_response(
         &mut self,
         sector: u64,
         stream: StreamId,
         class: DataClass,
-    ) -> Vec<ReqToken> {
+        wake: impl FnMut(ReqToken),
+    ) {
         let line = sector & !(crisp_trace::LINE_BYTES - 1);
         let sub = (sector % crisp_trace::LINE_BYTES) / crisp_trace::SECTOR_BYTES;
         let window = (0, self.l1.num_sets());
         // L1 lines are never dirty (write-through), so the eviction
         // writeback is always empty.
         let _ = self.l1.fill(line, sub, stream, class, false, window);
-        self.mshr.on_fill(sector)
+        self.mshr.on_fill(sector, wake);
     }
 
     /// Whether nothing is pending in this port (no MSHR entries, no queued
@@ -275,8 +276,9 @@ mod tests {
         let _ = p.read(a, 0);
         let _ = p.read(b, 0);
         p.egress.clear(); // simulate the drain
-        let woken = p.on_response(0x1000, S, DataClass::Compute);
-        assert_eq!(woken.len(), 2);
+        let mut woken = Vec::new();
+        p.on_response(0x1000, S, DataClass::Compute, |t| woken.push(t.id));
+        assert_eq!(woken, vec![1, 2]);
         assert!(p.quiescent());
         // The sector is now resident.
         let again = MemReq::read(0x1000, S, DataClass::Compute, ReqToken { sm: 0, id: 3 });

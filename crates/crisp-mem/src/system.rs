@@ -149,6 +149,9 @@ pub struct MemSystem {
     dram: Vec<Dram>,
     dram_ret: Vec<BinaryHeap<Reverse<DramReturn>>>,
     responses: BinaryHeap<Reverse<Response>>,
+    /// Scratch for the SMs waiting on one DRAM return, reused across
+    /// returns. Empty between ticks; not checkpointed.
+    waiting_sms: Vec<u16>,
 }
 
 impl MemSystem {
@@ -176,6 +179,7 @@ impl MemSystem {
                 .collect(),
             dram_ret: (0..cfg.n_l2_banks).map(|_| BinaryHeap::new()).collect(),
             responses: BinaryHeap::new(),
+            waiting_sms: Vec::new(),
             cfg,
         }
     }
@@ -313,7 +317,10 @@ impl MemSystem {
                 let class = idx_class(r.class_idx);
                 let sets = self.banks[bank_idx].cache().num_sets();
                 let window = self.partition.window(r.stream, sets);
-                let (waiters, wb) = self.banks[bank_idx].fill(r.sector, r.stream, class, window);
+                let sms = &mut self.waiting_sms;
+                let wb = self.banks[bank_idx].fill(r.sector, r.stream, class, window, |t| {
+                    sms.push(t.sm);
+                });
                 if let Some(wb) = wb {
                     for s in 0..wb.dirty_sectors as u64 {
                         let a = self
@@ -323,10 +330,9 @@ impl MemSystem {
                     }
                 }
                 // One response per waiting SM (the L1 MSHR fans out further).
-                let mut sms: Vec<u16> = waiters.iter().map(|t| t.sm).collect();
-                sms.sort_unstable();
-                sms.dedup();
-                for sm in sms {
+                self.waiting_sms.sort_unstable();
+                self.waiting_sms.dedup();
+                for sm in self.waiting_sms.drain(..) {
                     self.responses.push(Reverse(Response {
                         ready_at: now + self.cfg.l2_latency + self.cfg.xbar_latency,
                         sm,
@@ -346,13 +352,13 @@ impl MemSystem {
             }
             self.responses.pop();
             let port = ports[r.sm as usize].as_mut();
-            for token in port.on_response(r.sector, r.stream, idx_class(r.class_idx)) {
+            port.on_response(r.sector, r.stream, idx_class(r.class_idx), |token| {
                 done.push(Completion {
                     token,
                     addr: r.sector,
                     ready_at: now,
                 });
-            }
+            });
         }
         if let Some(tt) = times {
             tt.mem_ns +=
@@ -553,6 +559,7 @@ impl CheckpointState for MemSystem {
             dram,
             dram_ret,
             responses,
+            waiting_sms: Vec::new(),
         })
     }
 }

@@ -1385,22 +1385,18 @@ impl GpuSim {
         for sm_id in 0..sms.len() {
             for k in 0..n_streams {
                 let si = (start + k) % n_streams;
-                let (id, pending) = {
-                    let st = &self.streams[si];
-                    let p = st.current.as_ref().and_then(|r| {
-                        (r.next_cta < r.info.grid).then(|| (r.kernel, r.info.clone(), r.next_cta))
-                    });
-                    (st.id, p)
-                };
-                let Some((kernel, info, cta_index)) = pending else {
+                let st = &self.streams[si];
+                let id = st.id;
+                let Some(r) = st.current.as_ref().filter(|r| r.next_cta < r.info.grid) else {
                     continue;
                 };
+                let (kernel, cta_index, res) =
+                    (r.kernel, r.next_cta, CtaResources::of_info(&r.info));
                 // Inter-SM partitions restrict which SMs a stream may use.
                 if !self.allowed_sms.get(&id).is_none_or(|m| m[sm_id]) {
                     continue;
                 }
                 let quota = self.quota_for(sm_id, id);
-                let res = CtaResources::of_info(&info);
                 if !sms[sm_id].sm().fits(id, res, quota) {
                     continue;
                 }
@@ -1414,7 +1410,7 @@ impl GpuSim {
                 let work = CtaWork {
                     stream: id,
                     kernel,
-                    info,
+                    info: running.info.clone(),
                     cta,
                     cta_index,
                     seq,

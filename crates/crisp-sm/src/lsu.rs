@@ -12,7 +12,7 @@ use std::io;
 
 use crisp_ckpt::{bad, CheckpointState, Reader, Writer};
 use crisp_mem::{L1AccessResult, MemReq, ReqToken, SmMemPort};
-use crisp_trace::{DataClass, Space, StreamId};
+use crisp_trace::{DataClass, Space, StreamId, WARP_SIZE};
 
 use crate::config::SmConfig;
 
@@ -31,21 +31,17 @@ pub(crate) struct LsuEntry {
     pub inflight_id: u64,
 }
 
-/// Something the LSU resolved this cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum LsuEvent {
-    /// A sector was satisfied locally (L1 hit or shared memory); its data is
-    /// valid at `ready_at`.
-    Ready { inflight_id: u64, ready_at: u64 },
-    /// A sector went down the hierarchy; a completion with the same token id
-    /// will arrive later.
-    Sent { inflight_id: u64 },
-}
-
 /// The per-SM load-store unit.
+///
+/// Sector lists are recycled: a retired entry hands its list back to
+/// `spare`, and `Lsu::sector_buf` gives it to the next memory
+/// instruction. A list is created with room for the widest coalescing
+/// result, so the steady state issues memory instructions without
+/// allocating.
 #[derive(Debug)]
 pub struct Lsu {
     queue: VecDeque<LsuEntry>,
+    spare: Vec<Vec<u64>>,
     depth: usize,
     sectors_issued: u64,
 }
@@ -55,6 +51,7 @@ impl Lsu {
     pub fn new(cfg: &SmConfig) -> Self {
         Lsu {
             queue: VecDeque::new(),
+            spare: Vec::with_capacity(cfg.lsu_queue_depth),
             depth: cfg.lsu_queue_depth,
             sectors_issued: 0,
         }
@@ -86,16 +83,42 @@ impl Lsu {
         self.queue.push_back(e);
     }
 
+    /// An empty sector list for the next memory instruction, recycled from
+    /// a retired entry when one is available. Room for two sectors per
+    /// lane covers every access up to 32 bytes wide.
+    pub(crate) fn sector_buf(&mut self) -> Vec<u64> {
+        self.spare
+            .pop()
+            .unwrap_or_else(|| Vec::with_capacity(2 * WARP_SIZE))
+    }
+
+    /// Drop the head entry, keeping its sector list for reuse.
+    fn retire_head(&mut self) {
+        if let Some(mut e) = self.queue.pop_front() {
+            if e.sectors.capacity() > 0 {
+                e.sectors.clear();
+                self.spare.push(e.sectors);
+            }
+        }
+    }
+
     /// Work the head of the queue, presenting up to `cfg.l1_ports` sectors
-    /// to the SM's private memory port.
+    /// to the SM's private memory port. Every load sector satisfied locally
+    /// (L1 hit or shared memory) goes to `ready` as `(inflight_id,
+    /// ready_at)`; misses complete later through the memory system.
+    ///
+    /// Returns whether the LSU can make no further progress until the
+    /// memory system answers: the queue is empty, or its head load was
+    /// refused by the L1 MSHRs (only a fill, which always arrives as a
+    /// completion, frees them).
     pub(crate) fn process(
         &mut self,
         sm_id: usize,
         now: u64,
         cfg: &SmConfig,
         port: &mut SmMemPort,
-    ) -> Vec<LsuEvent> {
-        let mut events = Vec::new();
+        mut ready: impl FnMut(u64, u64),
+    ) -> bool {
         let mut budget = cfg.l1_ports;
         while budget > 0 {
             let Some(head) = self.queue.front_mut() else {
@@ -106,16 +129,13 @@ impl Lsu {
                 budget -= 1;
                 self.sectors_issued += 1;
                 if head.is_load {
-                    events.push(LsuEvent::Ready {
-                        inflight_id: head.inflight_id,
-                        ready_at: now + cfg.smem_latency,
-                    });
+                    ready(head.inflight_id, now + cfg.smem_latency);
                 }
-                self.queue.pop_front();
+                self.retire_head();
                 continue;
             }
             if head.next >= head.sectors.len() {
-                self.queue.pop_front();
+                self.retire_head();
                 continue;
             }
             let addr = head.sectors[head.next];
@@ -126,18 +146,10 @@ impl Lsu {
             if head.is_load {
                 let req = MemReq::read(addr, head.stream, head.class, token);
                 match port.read(req, now) {
-                    L1AccessResult::Hit { ready_at } => {
-                        events.push(LsuEvent::Ready {
-                            inflight_id: head.inflight_id,
-                            ready_at,
-                        });
-                    }
-                    L1AccessResult::Pending => {
-                        events.push(LsuEvent::Sent {
-                            inflight_id: head.inflight_id,
-                        });
-                    }
-                    L1AccessResult::Stall => break, // retry same sector next cycle
+                    L1AccessResult::Hit { ready_at } => ready(head.inflight_id, ready_at),
+                    L1AccessResult::Pending => {}
+                    // Retry the same sector next cycle.
+                    L1AccessResult::Stall => return true,
                 }
             } else {
                 let req = MemReq::write(addr, head.stream, head.class, token);
@@ -147,10 +159,10 @@ impl Lsu {
             budget -= 1;
             self.sectors_issued += 1;
             if head.next >= head.sectors.len() {
-                self.queue.pop_front();
+                self.retire_head();
             }
         }
-        events
+        self.queue.is_empty()
     }
 }
 
@@ -218,6 +230,7 @@ impl CheckpointState for Lsu {
         }
         Ok(Lsu {
             queue,
+            spare: Vec::new(),
             depth: cfg.lsu_queue_depth,
             sectors_issued: r.u64()?,
         })
@@ -269,18 +282,24 @@ mod tests {
         }
     }
 
+    /// Run one LSU cycle, collecting the locally-satisfied sectors.
+    fn step(lsu: &mut Lsu, now: u64, cfg: &SmConfig, p: &mut SmMemPort) -> (Vec<(u64, u64)>, bool) {
+        let mut ready = Vec::new();
+        let idle = lsu.process(0, now, cfg, p, |id, at| ready.push((id, at)));
+        (ready, idle)
+    }
+
     #[test]
     fn port_budget_limits_sectors_per_cycle() {
         let cfg = SmConfig::default(); // 4 ports
         let mut lsu = Lsu::new(&cfg);
         let mut p = port();
         lsu.push(load_entry(1, (0..8).map(|i| i * 32).collect()));
-        let ev = lsu.process(0, 0, &cfg, &mut p);
-        assert_eq!(ev.len(), 4, "only 4 sectors in cycle 0");
-        assert!(!lsu.is_empty());
-        let ev = lsu.process(0, 1, &cfg, &mut p);
-        assert_eq!(ev.len(), 4);
-        assert!(lsu.is_empty());
+        let (_, idle) = step(&mut lsu, 0, &cfg, &mut p);
+        assert_eq!(lsu.sectors_issued(), 4, "only 4 sectors in cycle 0");
+        assert!(!idle, "half the instruction is still to present");
+        let (_, idle) = step(&mut lsu, 1, &cfg, &mut p);
+        assert!(idle && lsu.is_empty());
         assert_eq!(lsu.sectors_issued(), 8);
     }
 
@@ -292,14 +311,8 @@ mod tests {
         let mut e = load_entry(7, vec![]);
         e.space = Space::Shared;
         lsu.push(e);
-        let ev = lsu.process(0, 10, &cfg, &mut p);
-        assert_eq!(
-            ev,
-            vec![LsuEvent::Ready {
-                inflight_id: 7,
-                ready_at: 10 + cfg.smem_latency
-            }]
-        );
+        let (ready, _) = step(&mut lsu, 10, &cfg, &mut p);
+        assert_eq!(ready, vec![(7, 10 + cfg.smem_latency)]);
     }
 
     #[test]
@@ -310,10 +323,26 @@ mod tests {
         let mut e = load_entry(3, vec![0, 32]);
         e.is_load = false;
         lsu.push(e);
-        let ev = lsu.process(0, 0, &cfg, &mut p);
-        assert!(ev.is_empty());
+        let (ready, _) = step(&mut lsu, 0, &cfg, &mut p);
+        assert!(ready.is_empty());
         assert_eq!(lsu.sectors_issued(), 2);
         assert!(lsu.is_empty());
+    }
+
+    #[test]
+    fn retired_sector_lists_are_reused() {
+        let cfg = SmConfig::default();
+        let mut lsu = Lsu::new(&cfg);
+        let mut p = port();
+        let mut sectors = lsu.sector_buf();
+        sectors.extend([0, 32]);
+        let ptr = sectors.as_ptr();
+        lsu.push(load_entry(1, sectors));
+        let _ = step(&mut lsu, 0, &cfg, &mut p);
+        assert!(lsu.is_empty());
+        let again = lsu.sector_buf();
+        assert!(again.is_empty(), "a recycled list starts empty");
+        assert_eq!(again.as_ptr(), ptr, "the retired list comes back");
     }
 
     #[test]
@@ -343,8 +372,12 @@ mod tests {
         let mut lsu = Lsu::new(&cfg);
         // Two sectors in different lines: second allocation must stall.
         lsu.push(load_entry(1, vec![0x0000, 0x4000]));
-        let ev = lsu.process(0, 0, &cfg, &mut p);
-        assert_eq!(ev.len(), 1, "second sector stalled on MSHR");
+        let (_, idle) = step(&mut lsu, 0, &cfg, &mut p);
+        assert_eq!(lsu.sectors_issued(), 1, "second sector stalled on MSHR");
+        assert!(idle, "a refused head waits for a fill");
         assert!(!lsu.is_empty());
+        let (_, idle) = step(&mut lsu, 1, &cfg, &mut p);
+        assert!(idle);
+        assert_eq!(lsu.sectors_issued(), 1, "the retry is refused again");
     }
 }

@@ -12,7 +12,7 @@ use crisp_trace::{
 
 use crate::config::{SchedulerPolicy, SmConfig};
 use crate::cta::{CtaResources, CtaWork, ResourceQuota, SmResources};
-use crate::lsu::{Lsu, LsuEntry, LsuEvent};
+use crate::lsu::{Lsu, LsuEntry};
 use crate::units::ExecUnits;
 use crate::warp::{WarpState, WarpStatus};
 
@@ -70,6 +70,18 @@ pub struct StallBreakdown {
 }
 
 impl StallBreakdown {
+    /// Count one blocked slot against `cause`.
+    fn block(&mut self, cause: StallCause) {
+        self.blocked += 1;
+        match cause {
+            StallCause::Barrier => self.barrier += 1,
+            StallCause::PipeBusy => self.pipe_busy += 1,
+            StallCause::Scoreboard => self.scoreboard += 1,
+            StallCause::MshrFull => self.mshr_full += 1,
+            StallCause::MemPending => self.mem_pending += 1,
+        }
+    }
+
     /// Fraction of scheduler slots that issued, over slots with resident
     /// warps (issue efficiency).
     pub fn issue_efficiency(&self) -> f64 {
@@ -104,6 +116,16 @@ enum StallCause {
     Scoreboard,
     MshrFull,
     MemPending,
+}
+
+/// What one warp slot offers its scheduler in a cycle.
+enum SlotState {
+    /// No live warp: empty slot, exited warp, or exhausted trace.
+    Idle,
+    /// Can issue now; carries the warp's age for GTO's oldest-first pick.
+    Ready(u64),
+    /// Live but unable to issue, for this reason.
+    Blocked(StallCause),
 }
 
 #[derive(Debug)]
@@ -164,6 +186,14 @@ pub struct Sm {
     window_issued: HashMap<StreamId, u64>,
     n_resident_warps: usize,
     stalls: StallBreakdown,
+    /// While `now < sleep_until` the SM is asleep: nothing it holds can
+    /// change before then unless [`Sm::launch_cta`] or
+    /// [`Sm::on_mem_completion`] wakes it, so [`Sm::cycle`] only adds
+    /// `idle_stalls`. Not checkpointed: a restored SM starts awake.
+    sleep_until: u64,
+    /// Scheduler-slot accounting of the cycle that put the SM to sleep,
+    /// repeated for every cycle it sleeps.
+    idle_stalls: StallBreakdown,
 }
 
 // Lend the private port, so `MemSystem::tick_into` can drain/fill SMs
@@ -206,6 +236,8 @@ impl Sm {
             window_issued: HashMap::new(),
             n_resident_warps: 0,
             stalls: StallBreakdown::default(),
+            sleep_until: 0,
+            idle_stalls: StallBreakdown::default(),
         }
     }
 
@@ -247,6 +279,7 @@ impl Sm {
     ///
     /// Panics if warp or CTA slots are unexpectedly exhausted.
     pub fn launch_cta(&mut self, work: CtaWork) {
+        self.sleep_until = 0;
         let res = work.resources();
         let n_warps = work.cta.warps.len();
         let cta_slot = self
@@ -296,8 +329,10 @@ impl Sm {
     }
 
     /// Route a memory completion (from the shared hierarchy's tick) back to
-    /// its load instruction.
+    /// its load instruction. Wakes the SM: the fill may have finished a
+    /// load or freed the L1 MSHR entry a queued LSU access waits on.
     pub fn on_mem_completion(&mut self, inflight_id: u64) {
+        self.sleep_until = 0;
         let done = match self.inflight.get_mut(&inflight_id) {
             Some(f) => {
                 f.remaining -= 1;
@@ -353,24 +388,17 @@ impl Sm {
             let stall = match w.status {
                 WarpStatus::Exited => WarpStall::Exited,
                 WarpStatus::AtBarrier(_) => WarpStall::Barrier,
-                WarpStatus::Ready => match w.next_instr() {
-                    None => WarpStall::TraceExhausted,
-                    Some(instr) if w.scoreboard_blocks(instr) => {
-                        if w.blocked_on_mem(instr) {
-                            WarpStall::MemPending
-                        } else {
-                            WarpStall::Scoreboard
-                        }
-                    }
-                    Some(_) => WarpStall::Issuable,
-                },
+                WarpStatus::Ready if w.next_op().is_none() => WarpStall::TraceExhausted,
+                WarpStatus::Ready if w.blocked_on_mem() => WarpStall::MemPending,
+                WarpStatus::Ready if w.scoreboard_blocks() => WarpStall::Scoreboard,
+                WarpStatus::Ready => WarpStall::Issuable,
             };
             warps.push(WarpDiagnostics {
                 slot,
                 stream: w.stream,
                 cta_index: w.cta_index,
                 warp_index: w.warp_index,
-                pc: w.pc,
+                pc: w.pc(),
                 trace_len: trace.len(),
                 stall,
                 pending_regs: (w.pending_writes | w.pending_mem).count_ones(),
@@ -409,8 +437,18 @@ impl Sm {
 
     /// Advance one cycle. Touches only SM-private state (including the
     /// owned memory port), so distinct SMs may cycle concurrently.
+    ///
+    /// A cycle that issues nothing while the LSU waits on the memory system
+    /// puts the SM to sleep until its next timed event: a writeback, a
+    /// locally-satisfied sector, or a busy pipeline freeing up. Until then
+    /// no scheduler's choice or stall cause can change, so each sleeping
+    /// cycle only repeats that cycle's slot accounting.
     pub fn cycle(&mut self, now: u64) -> CycleOutput {
         let mut out = CycleOutput::default();
+        if now < self.sleep_until {
+            self.stalls.merge(&self.idle_stalls);
+            return out;
+        }
 
         // 1. Retire ALU writebacks due this cycle.
         while let Some(&Reverse((t, slot, reg))) = self.writebacks.peek() {
@@ -433,89 +471,50 @@ impl Sm {
         }
 
         // 3. Work the LSU against the private port.
-        for ev in self.lsu.process(self.id, now, &self.cfg, &mut self.port) {
-            match ev {
-                LsuEvent::Ready {
-                    inflight_id,
-                    ready_at,
-                } => {
-                    self.mem_ready.push(Reverse((ready_at, inflight_id)));
-                }
-                LsuEvent::Sent { .. } => {}
-            }
-        }
+        let mem_ready = &mut self.mem_ready;
+        let lsu_idle = self
+            .lsu
+            .process(self.id, now, &self.cfg, &mut self.port, |id, at| {
+                mem_ready.push(Reverse((at, id)));
+            });
 
         // 4. Each scheduler issues at most one instruction (GTO).
-        let n_sched = self.cfg.schedulers as usize;
-        for s in 0..n_sched {
-            let candidate = self.pick_warp(s, now);
-            if let Some(slot) = candidate {
-                if self.issue_from(slot, now, &mut out) {
+        let mut slots = StallBreakdown::default();
+        for s in 0..self.cfg.schedulers as usize {
+            match self.pick_warp(s, now) {
+                Ok(slot) => {
+                    self.issue_from(slot, now, &mut out);
                     self.last_issued[s] = Some(slot);
-                    self.stalls.issued += 1;
-                } else {
-                    self.last_issued[s] = None;
+                    slots.issued += 1;
                 }
-            } else if let Some(cause) = self.classify_stall(s) {
-                self.stalls.blocked += 1;
-                match cause {
-                    StallCause::Barrier => self.stalls.barrier += 1,
-                    StallCause::PipeBusy => self.stalls.pipe_busy += 1,
-                    StallCause::Scoreboard => self.stalls.scoreboard += 1,
-                    StallCause::MshrFull => self.stalls.mshr_full += 1,
-                    StallCause::MemPending => self.stalls.mem_pending += 1,
-                }
-            } else {
-                self.stalls.empty += 1;
+                Err(Some(cause)) => slots.block(cause),
+                Err(None) => slots.empty += 1,
             }
+        }
+        self.stalls.merge(&slots);
+
+        // 5. Nothing issued and the LSU waits on the memory system: sleep
+        //    until the earliest timed event (a memory completion or a CTA
+        //    launch wakes the SM sooner).
+        if out.issued == 0 && lsu_idle {
+            let next_wb = self.writebacks.peek().map(|Reverse((t, ..))| *t);
+            let next_ready = self.mem_ready.peek().map(|Reverse((t, _))| *t);
+            let next_pipe = self.units.next_free_after(now);
+            self.sleep_until = [next_wb, next_ready, next_pipe]
+                .into_iter()
+                .flatten()
+                .min()
+                .unwrap_or(u64::MAX);
+            self.idle_stalls = slots;
         }
         out
     }
 
-    /// Attribute scheduler `s`'s failure to issue: the highest-priority
-    /// cause over its live resident warps, or `None` when the scheduler has
-    /// no live warps at all (an `empty` slot).
-    ///
-    /// Runs only on blocked slots, where the old accounting already scanned
-    /// the scheduler's warps — the cause lookup rides on that same scan.
-    fn classify_stall(&self, s: usize) -> Option<StallCause> {
-        let n_sched = self.cfg.schedulers as usize;
-        let mut cause: Option<StallCause> = None;
-        for slot in (s..self.warps.len()).step_by(n_sched) {
-            let Some(w) = self.warps[slot].as_ref() else {
-                continue;
-            };
-            let c = match w.status {
-                WarpStatus::Exited => continue,
-                WarpStatus::AtBarrier(_) => StallCause::Barrier,
-                WarpStatus::Ready => {
-                    let Some(instr) = w.next_instr() else {
-                        continue;
-                    };
-                    if w.scoreboard_blocks(instr) {
-                        if w.blocked_on_mem(instr) {
-                            StallCause::MemPending
-                        } else {
-                            StallCause::Scoreboard
-                        }
-                    } else {
-                        // The warp was ready yet not picked: its structural
-                        // resource is exhausted. (Bar/Exit always issue, so
-                        // they cannot reach this arm.)
-                        match instr.op {
-                            Op::Ld(_) | Op::St(_) => StallCause::MshrFull,
-                            _ => StallCause::PipeBusy,
-                        }
-                    }
-                }
-            };
-            cause = Some(cause.map_or(c, |prev| prev.max(c)));
-        }
-        cause
-    }
-
-    /// Warp selection for scheduler `s`, per the configured policy.
-    fn pick_warp(&mut self, s: usize, now: u64) -> Option<usize> {
+    /// Warp selection for scheduler `s`, per the configured policy: the
+    /// slot to issue from, or why none can issue — the highest-priority
+    /// cause over the scheduler's live warps, or `None` when it has no live
+    /// warp at all (an `empty` slot). One scan finds both.
+    fn pick_warp(&self, s: usize, now: u64) -> Result<usize, Option<StallCause>> {
         match self.cfg.scheduler {
             SchedulerPolicy::Gto => self.pick_warp_gto(s, now),
             SchedulerPolicy::Lrr => self.pick_warp_lrr(s, now),
@@ -524,23 +523,27 @@ impl Sm {
 
     /// GTO: the greedily-held warp first, else the oldest ready warp owned
     /// by this scheduler.
-    fn pick_warp_gto(&mut self, s: usize, now: u64) -> Option<usize> {
+    fn pick_warp_gto(&self, s: usize, now: u64) -> Result<usize, Option<StallCause>> {
         let n_sched = self.cfg.schedulers as usize;
         if let Some(slot) = self.last_issued[s] {
-            if self.warp_can_issue(slot, now) {
-                return Some(slot);
+            if let SlotState::Ready(_) = self.slot_state(slot, now) {
+                return Ok(slot);
             }
         }
         let mut best: Option<(u64, usize)> = None;
+        let mut cause = None;
         for slot in (s..self.warps.len()).step_by(n_sched) {
-            if self.warp_can_issue(slot, now) {
-                let age = self.warps[slot].as_ref().map(|w| w.age).unwrap_or(u64::MAX);
-                if best.is_none_or(|(ba, _)| age < ba) {
-                    best = Some((age, slot));
+            match self.slot_state(slot, now) {
+                SlotState::Ready(age) => {
+                    if best.is_none_or(|(ba, _)| age < ba) {
+                        best = Some((age, slot));
+                    }
                 }
+                SlotState::Blocked(c) => cause = cause.max(Some(c)),
+                SlotState::Idle => {}
             }
         }
-        best.map(|(_, slot)| slot)
+        best.map(|(_, slot)| slot).ok_or(cause)
     }
 
     /// LRR: the first ready warp strictly after the last one issued,
@@ -549,10 +552,10 @@ impl Sm {
     /// Scheduler `s` owns slots `s, s + n_sched, s + 2*n_sched, …`; the
     /// k-th owned slot is computed arithmetically so the per-cycle hot path
     /// stays allocation-free.
-    fn pick_warp_lrr(&mut self, s: usize, now: u64) -> Option<usize> {
+    fn pick_warp_lrr(&self, s: usize, now: u64) -> Result<usize, Option<StallCause>> {
         let n_sched = self.cfg.schedulers as usize;
         if s >= self.warps.len() {
-            return None;
+            return Err(None);
         }
         let n_slots = (self.warps.len() - s).div_ceil(n_sched);
         let start = match self.last_issued[s] {
@@ -560,122 +563,134 @@ impl Sm {
             Some(last) if last >= s => (last - s) / n_sched + 1,
             _ => 0,
         };
+        let mut cause = None;
         for k in 0..n_slots {
             let slot = s + ((start + k) % n_slots) * n_sched;
-            if self.warp_can_issue(slot, now) {
-                return Some(slot);
+            match self.slot_state(slot, now) {
+                SlotState::Ready(_) => return Ok(slot),
+                SlotState::Blocked(c) => cause = cause.max(Some(c)),
+                SlotState::Idle => {}
             }
         }
-        None
+        Err(cause)
     }
 
-    fn warp_can_issue(&mut self, slot: usize, now: u64) -> bool {
+    /// What the warp in `slot` offers its scheduler at `now`. Reads only
+    /// the warp's cached opcode and hazard masks, never its trace.
+    fn slot_state(&self, slot: usize, now: u64) -> SlotState {
         let Some(w) = self.warps[slot].as_ref() else {
-            return false;
+            return SlotState::Idle;
         };
-        if w.status != WarpStatus::Ready {
-            return false;
-        }
-        let Some(instr) = w.next_instr() else {
-            return false;
+        let op = match (w.status, w.next_op()) {
+            (WarpStatus::Exited, _) | (WarpStatus::Ready, None) => return SlotState::Idle,
+            (WarpStatus::AtBarrier(_), _) => return SlotState::Blocked(StallCause::Barrier),
+            (WarpStatus::Ready, Some(op)) => op,
         };
-        if w.scoreboard_blocks(instr) {
-            return false;
+        if w.blocked_on_mem() {
+            return SlotState::Blocked(StallCause::MemPending);
         }
-        match instr.op {
-            Op::Ld(_) | Op::St(_) => self.lsu.has_room(),
-            // Unit availability is only *checked* here; reservation happens
-            // at issue. busy_count == units means nothing free.
-            op => {
-                (self.units.busy_count(op, now) as u32) < self.cfg.units_for(op)
-                    || matches!(op, Op::Bar(_) | Op::Exit)
+        if w.scoreboard_blocks() {
+            return SlotState::Blocked(StallCause::Scoreboard);
+        }
+        match op {
+            Op::Ld(_) | Op::St(_) if !self.lsu.has_room() => {
+                SlotState::Blocked(StallCause::MshrFull)
             }
+            Op::Ld(_) | Op::St(_) | Op::Bar(_) | Op::Exit => SlotState::Ready(w.age),
+            // Unit availability is only *checked* here; reservation
+            // happens at issue.
+            op if (self.units.busy_count(op, now) as u32) < self.cfg.units_for(op) => {
+                SlotState::Ready(w.age)
+            }
+            _ => SlotState::Blocked(StallCause::PipeBusy),
         }
     }
 
-    /// Issue the next instruction of the warp in `slot`. Returns whether an
-    /// instruction was actually issued.
-    fn issue_from(&mut self, slot: usize, now: u64, out: &mut CycleOutput) -> bool {
-        let (op, dst, mem_access, stream) = {
+    /// Issue the next instruction of the warp in `slot`.
+    fn issue_from(&mut self, slot: usize, now: u64, out: &mut CycleOutput) {
+        let (op, stream) = {
             let w = self.warps[slot].as_ref().expect("picked warp exists");
-            let i = w.next_instr().expect("picked warp has an instruction");
-            (i.op, i.dst, i.mem.clone(), w.stream)
+            (
+                w.next_op().expect("picked warp has an instruction"),
+                w.stream,
+            )
         };
         match op {
-            Op::Bar(id) => {
-                self.issue_barrier(slot, id);
-            }
-            Op::Exit => {
-                self.issue_exit(slot, out);
-            }
-            Op::Ld(space) | Op::St(space) => {
-                let is_load = matches!(op, Op::Ld(_));
-                let access = mem_access.expect("memory op carries an access");
-                let sectors: Vec<u64> = if space == Space::Shared {
-                    Vec::new()
-                } else {
-                    access
-                        .distinct_chunks(SECTOR_BYTES)
-                        .into_iter()
-                        .map(|c| c * SECTOR_BYTES)
-                        .collect()
-                };
-                let id = self.next_inflight;
-                self.next_inflight += 1;
-                if is_load {
-                    let remaining = if space == Space::Shared {
-                        1
-                    } else {
-                        sectors.len()
-                    };
-                    self.inflight.insert(
-                        id,
-                        Inflight {
-                            warp_slot: slot,
-                            reg: dst,
-                            remaining,
-                        },
-                    );
-                    if let (Some(d), Some(w)) = (dst, self.warps[slot].as_mut()) {
-                        w.set_pending_mem(d);
-                    }
-                }
-                let class = if space == Space::Tex {
-                    DataClass::Texture
-                } else {
-                    access.class
-                };
-                self.lsu.push(LsuEntry {
-                    stream,
-                    class,
-                    space,
-                    is_load,
-                    sectors,
-                    next: 0,
-                    inflight_id: id,
-                });
-                if let Some(w) = self.warps[slot].as_mut() {
-                    w.advance();
-                }
-            }
+            Op::Bar(id) => self.issue_barrier(slot, id),
+            Op::Exit => self.issue_exit(slot, out),
+            Op::Ld(space) | Op::St(space) => self.issue_mem(slot, space, stream),
             op => {
                 // ALU / SFU / tensor / branch: reserve the pipe.
                 let ok = self.units.try_issue(op, now, &self.cfg);
                 debug_assert!(ok, "warp_can_issue checked unit availability");
                 let (lat, _ii) = self.cfg.timing(op);
-                if let Some(w) = self.warps[slot].as_mut() {
-                    if let Some(d) = dst {
-                        w.set_pending(d);
-                        self.writebacks.push(Reverse((now + lat, slot, d.0)));
-                    }
-                    w.advance();
+                let w = self.warps[slot].as_mut().expect("picked warp exists");
+                if let Some(d) = w.next_instr().and_then(|i| i.dst) {
+                    w.set_pending(d);
+                    self.writebacks.push(Reverse((now + lat, slot, d.0)));
                 }
+                w.advance();
             }
         }
         out.issued += 1;
         *self.issued_by_stream.entry(stream).or_insert(0) += 1;
         *self.window_issued.entry(stream).or_insert(0) += 1;
-        true
+    }
+
+    /// Hand the warp's next instruction, a load or store, to the LSU. The
+    /// sector list is coalesced into a recycled buffer, so this allocates
+    /// nothing once the LSU and the in-flight table have warmed up.
+    fn issue_mem(&mut self, slot: usize, space: Space, stream: StreamId) {
+        let w = self.warps[slot].as_mut().expect("picked warp exists");
+        let i = w.next_instr().expect("picked warp has an instruction");
+        let is_load = matches!(i.op, Op::Ld(_));
+        let dst = i.dst;
+        let access = i.mem.as_ref().expect("memory op carries an access");
+        let class = if space == Space::Tex {
+            DataClass::Texture
+        } else {
+            access.class
+        };
+        let sectors = if space == Space::Shared {
+            Vec::new()
+        } else {
+            let mut v = self.lsu.sector_buf();
+            access.distinct_chunks_into(SECTOR_BYTES, &mut v);
+            for c in &mut v {
+                *c *= SECTOR_BYTES;
+            }
+            v
+        };
+        let id = self.next_inflight;
+        self.next_inflight += 1;
+        if is_load {
+            let remaining = if space == Space::Shared {
+                1
+            } else {
+                sectors.len()
+            };
+            self.inflight.insert(
+                id,
+                Inflight {
+                    warp_slot: slot,
+                    reg: dst,
+                    remaining,
+                },
+            );
+            if let Some(d) = dst {
+                w.set_pending_mem(d);
+            }
+        }
+        w.advance();
+        self.lsu.push(LsuEntry {
+            stream,
+            class,
+            space,
+            is_load,
+            sectors,
+            next: 0,
+            inflight_id: id,
+        });
     }
 
     fn issue_barrier(&mut self, slot: usize, id: u8) {
@@ -699,21 +714,15 @@ impl Sm {
     /// parked at *other* slots stay parked — that isolation is what makes
     /// divergent-slot traces wedge (and what the static prover catches).
     fn release_barrier(&mut self, cta_slot: usize, id: u8) {
-        let slots = self.ctas[cta_slot]
-            .as_ref()
-            .expect("cta exists")
-            .warp_slots
-            .clone();
-        for s in slots {
+        let cta = self.ctas[cta_slot].as_mut().expect("cta exists");
+        for &s in &cta.warp_slots {
             if let Some(w) = self.warps[s].as_mut() {
                 if w.status == WarpStatus::AtBarrier(id) {
                     w.status = WarpStatus::Ready;
                 }
             }
         }
-        if let Some(cta) = self.ctas[cta_slot].as_mut() {
-            cta.arrivals[id as usize] = 0;
-        }
+        cta.arrivals[id as usize] = 0;
     }
 
     fn issue_exit(&mut self, slot: usize, out: &mut CycleOutput) {
@@ -1057,6 +1066,8 @@ impl CheckpointState for Sm {
             window_issued,
             n_resident_warps,
             stalls: StallBreakdown::restore(r, ())?,
+            sleep_until: 0,
+            idle_stalls: StallBreakdown::default(),
         })
     }
 }
@@ -1360,6 +1371,77 @@ mod tests {
             "an ALU dependency chain stalls on the scoreboard"
         );
         assert_eq!(st.mem_pending, 0, "no memory instructions in this kernel");
+
+        // A long-latency load: the SM sleeps through the DRAM round trip,
+        // and every slot it sleeps through is still accounted for.
+        let mut w = WarpTrace::new();
+        w.push(Instr::load(
+            Reg(1),
+            MemAccess::coalesced(Space::Global, DataClass::Compute, 4, 0x1000, 32),
+        ));
+        w.push(Instr::alu(Op::FpFma, Reg(2), &[Reg(1)]));
+        w.seal();
+        let k = Arc::new(KernelTrace::new(
+            "ld",
+            32,
+            16,
+            0,
+            vec![CtaTrace::new(vec![w])],
+        ));
+        let (st, cycles, slept) = run_beside_woken_twin(&k);
+        assert!(slept > 100, "slept {slept} cycles of the DRAM round trip");
+        assert_eq!(
+            st.issued + st.blocked + st.empty,
+            cycles * SmConfig::default().schedulers as u64
+        );
+        assert!(st.mem_pending > 0, "{st:?}");
+
+        // Independent SFU ops from 8 warps: the 4 SFU pipes (II 4) are the
+        // bottleneck, so the SM sleeps until a pipe frees, well before the
+        // 21-cycle writebacks.
+        let mut w = WarpTrace::new();
+        for i in 0..8 {
+            w.push(Instr::alu(Op::Sfu, Reg(i + 1), &[]));
+        }
+        w.seal();
+        let k = Arc::new(KernelTrace::new(
+            "sfu",
+            256,
+            16,
+            0,
+            vec![CtaTrace::new(vec![w; 8])],
+        ));
+        let (st, _, slept) = run_beside_woken_twin(&k);
+        assert!(slept > 0 && st.pipe_busy > 0, "slept {slept}: {st:?}");
+    }
+
+    /// Run `k` on an SM and on a twin woken before every cycle, as a
+    /// checkpoint restore wakes it, asserting identical slot accounting
+    /// every cycle. Returns the stalls, the cycles run, and the cycles the
+    /// SM spent asleep.
+    fn run_beside_woken_twin(k: &Arc<KernelTrace>) -> (StallBreakdown, u64, u64) {
+        let (mut sm, mut twin) = (new_sm(SmConfig::default()), new_sm(SmConfig::default()));
+        let (mut m, mut twin_m) = (mem(), mem());
+        launch(&mut sm, k, 0, 0);
+        launch(&mut twin, k, 0, 0);
+        let (mut cycles, mut slept) = (0, 0);
+        while sm.busy() || !m.quiescent() {
+            twin.sleep_until = 0;
+            for (sm, m) in [(&mut sm, &mut m), (&mut twin, &mut twin_m)] {
+                let _ = sm.cycle(cycles);
+                let mut ports = [sm.port_mut()];
+                for c in m.tick(cycles, &mut ports) {
+                    sm.on_mem_completion(c.token.id);
+                }
+            }
+            if sm.sleep_until > cycles + 1 {
+                slept += 1;
+            }
+            assert_eq!(sm.stalls(), twin.stalls(), "cycle {cycles}");
+            cycles += 1;
+        }
+        assert!(!twin.busy(), "the twin finishes with the SM");
+        (sm.stalls(), cycles, slept)
     }
 
     #[test]

@@ -72,6 +72,20 @@ impl ExecUnits {
         };
         group.iter().filter(|&&t| t > now).count()
     }
+
+    /// The earliest cycle after `now` at which a busy pipeline frees up,
+    /// if any is busy.
+    pub(crate) fn next_free_after(&self, now: u64) -> Option<u64> {
+        let mut next = u64::MAX;
+        for group in [&self.fp, &self.int, &self.sfu, &self.tensor] {
+            for &t in group {
+                if t > now && t < next {
+                    next = t;
+                }
+            }
+        }
+        (next != u64::MAX).then_some(next)
+    }
 }
 
 impl CheckpointState for ExecUnits {
@@ -172,5 +186,17 @@ mod tests {
         let _ = u.try_issue(Op::Sfu, 10, &cfg);
         assert_eq!(u.busy_count(Op::Sfu, 10), 2);
         assert_eq!(u.busy_count(Op::Sfu, 14), 0);
+    }
+
+    #[test]
+    fn next_free_after_finds_the_earliest_busy_pipe() {
+        let cfg = SmConfig::default();
+        let mut u = ExecUnits::new(&cfg);
+        assert_eq!(u.next_free_after(0), None, "all idle");
+        let _ = u.try_issue(Op::Sfu, 10, &cfg); // free at 14
+        let _ = u.try_issue(Op::FpFma, 11, &cfg); // free at 12
+        assert_eq!(u.next_free_after(11), Some(12));
+        assert_eq!(u.next_free_after(12), Some(14));
+        assert_eq!(u.next_free_after(14), None);
     }
 }

@@ -4,7 +4,7 @@ use std::io;
 use std::sync::Arc;
 
 use crisp_ckpt::{bad, CheckpointState, Reader, Writer};
-use crisp_trace::{CtaTrace, Instr, KernelId, KernelInfo, Reg, StreamId, TraceSource};
+use crisp_trace::{CtaTrace, Instr, KernelId, KernelInfo, Op, Reg, StreamId, TraceSource};
 
 /// Why a warp cannot issue right now.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,7 +54,12 @@ pub struct WarpState {
     /// Stream for statistics.
     pub stream: StreamId,
     /// Next instruction index in the warp's trace.
-    pub pc: usize,
+    pc: usize,
+    /// Opcode of the instruction at `pc`, `None` past the end of the trace.
+    next_op: Option<Op>,
+    /// Register mask of the instruction at `pc`: its sources and its
+    /// destination. A scoreboard hazard is `pending_writes & next_regs != 0`.
+    next_regs: u128,
     /// Bitmask of registers with writes in flight (bit = register id).
     pub pending_writes: u128,
     /// Subset of [`pending_writes`](Self::pending_writes) whose producer is
@@ -80,7 +85,7 @@ impl WarpState {
         stream: StreamId,
         age: u64,
     ) -> Self {
-        WarpState {
+        let mut w = WarpState {
             info,
             cta,
             kernel,
@@ -89,11 +94,20 @@ impl WarpState {
             cta_slot,
             stream,
             pc: 0,
+            next_op: None,
+            next_regs: 0,
             pending_writes: 0,
             pending_mem: 0,
             status: WarpStatus::Ready,
             age,
-        }
+        };
+        w.decode_next();
+        w
+    }
+
+    /// Next instruction index in the warp's trace.
+    pub fn pc(&self) -> usize {
+        self.pc
     }
 
     /// The next instruction to issue, if the trace has one.
@@ -101,18 +115,37 @@ impl WarpState {
         self.cta.warps[self.warp_index].get(self.pc)
     }
 
-    /// Whether the scoreboard blocks `instr` (RAW on sources, WAW on the
-    /// destination).
-    pub fn scoreboard_blocks(&self, instr: &Instr) -> bool {
-        if self.pending_writes == 0 {
-            return false;
-        }
-        instr
-            .src_regs()
-            .any(|r| self.pending_writes & reg_bit(r) != 0)
-            || instr
-                .dst
-                .is_some_and(|d| self.pending_writes & reg_bit(d) != 0)
+    /// Opcode of the next instruction, if the trace has one. Cached, so
+    /// the scheduler's scans never touch the trace.
+    pub(crate) fn next_op(&self) -> Option<Op> {
+        self.next_op
+    }
+
+    /// Refresh the cached opcode and register mask for the instruction at
+    /// `pc`.
+    ///
+    /// Decoding never panics, because a launch decodes on the driving
+    /// thread: a register id past the scoreboard adds no bit here, and
+    /// [`advance`](Self::advance) trips the [`reg_bit`] assert when the
+    /// instruction issues.
+    fn decode_next(&mut self) {
+        let (op, regs) = match self.next_instr() {
+            Some(i) => (
+                Some(i.op),
+                i.src_regs()
+                    .chain(i.dst)
+                    .fold(0, |m, r| m | 1u128.checked_shl(r.0.into()).unwrap_or(0)),
+            ),
+            None => (None, 0),
+        };
+        self.next_op = op;
+        self.next_regs = regs;
+    }
+
+    /// Whether the scoreboard blocks the next instruction (RAW on its
+    /// sources, WAW on its destination).
+    pub fn scoreboard_blocks(&self) -> bool {
+        self.pending_writes & self.next_regs != 0
     }
 
     /// Mark `reg` as having a write in flight.
@@ -140,22 +173,28 @@ impl WarpState {
         self.pending_mem &= !bit;
     }
 
-    /// Whether the scoreboard hazard on `instr` involves a register whose
-    /// producer is an outstanding memory load. Only meaningful when
-    /// [`scoreboard_blocks`](Self::scoreboard_blocks) is true.
-    pub fn blocked_on_mem(&self, instr: &Instr) -> bool {
-        if self.pending_mem == 0 {
-            return false;
-        }
-        instr.src_regs().any(|r| self.pending_mem & reg_bit(r) != 0)
-            || instr
-                .dst
-                .is_some_and(|d| self.pending_mem & reg_bit(d) != 0)
+    /// Whether the next instruction's scoreboard hazard involves a register
+    /// whose producer is an outstanding memory load. Implies
+    /// [`scoreboard_blocks`](Self::scoreboard_blocks), because `pending_mem`
+    /// is a subset of `pending_writes`.
+    pub fn blocked_on_mem(&self) -> bool {
+        self.pending_mem & self.next_regs != 0
     }
 
     /// Advance past the just-issued instruction.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the issued instruction names a register id of 128 or
+    /// higher.
     pub fn advance(&mut self) {
+        if let Some(i) = self.next_instr() {
+            i.src_regs().chain(i.dst).for_each(|r| {
+                reg_bit(r);
+            });
+        }
         self.pc += 1;
+        self.decode_next();
     }
 }
 
@@ -228,7 +267,7 @@ impl CheckpointState for WarpState {
             2 => WarpStatus::Exited,
             t => return Err(bad(format!("bad warp status tag {t}"))),
         };
-        Ok(WarpState {
+        let mut w = WarpState {
             info,
             cta,
             kernel,
@@ -237,18 +276,22 @@ impl CheckpointState for WarpState {
             cta_slot,
             stream,
             pc,
+            next_op: None,
+            next_regs: 0,
             pending_writes,
             pending_mem,
             status,
             age: r.u64()?,
-        })
+        };
+        w.decode_next();
+        Ok(w)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crisp_trace::{CtaTrace, MemAccess, Op, Space, WarpTrace};
+    use crisp_trace::{CtaTrace, MemAccess, Op, Space, Stream, StreamKind, TraceBundle, WarpTrace};
 
     fn warp_with(instrs: Vec<Instr>) -> WarpState {
         let mut w = WarpTrace::new();
@@ -260,52 +303,88 @@ mod tests {
         WarpState::new(info, cta, KernelId(0), 0, 0, 0, StreamId(0), 0)
     }
 
+    fn source_of(instrs: Vec<Instr>) -> TraceSource {
+        let mut w = WarpTrace::new();
+        w.extend(instrs);
+        w.seal();
+        let k = crisp_trace::KernelTrace::new("k", 32, 8, 0, vec![CtaTrace::new(vec![w])]);
+        let mut s = Stream::new(StreamId(0), StreamKind::Compute);
+        s.launch(k);
+        TraceSource::from_bundle(TraceBundle::from_streams(vec![s]))
+    }
+
+    #[test]
+    fn restore_recomputes_the_hazard_mask() {
+        let instrs = vec![Instr::alu(Op::FpFma, Reg(2), &[Reg(1)])];
+        let mut w = warp_with(instrs.clone());
+        w.set_pending(Reg(1));
+        let mut buf = Vec::new();
+        w.save(&mut Writer::new(&mut buf), ()).unwrap();
+        let restore =
+            |instrs| WarpState::restore(&mut Reader::new(buf.as_slice()), &mut source_of(instrs));
+        let back = restore(instrs).unwrap();
+        assert_eq!(back.next_op(), Some(Op::FpFma));
+        assert!(
+            back.scoreboard_blocks(),
+            "RAW on r1 survives the round trip"
+        );
+    }
+
+    #[test]
+    fn bad_register_decodes_quietly_and_panics_at_issue() {
+        let mut w = warp_with(vec![Instr::alu(Op::FpFma, Reg(2), &[Reg(200)])]);
+        assert!(!w.scoreboard_blocks(), "register 200 adds no mask bit");
+        let issued = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| w.advance()));
+        let msg = *issued.unwrap_err().downcast::<String>().unwrap();
+        assert!(msg.contains("scoreboard supports register ids"), "{msg}");
+    }
+
     #[test]
     fn cursor_walks_the_trace() {
         let mut w = warp_with(vec![Instr::alu(Op::IntAlu, Reg(1), &[]), Instr::branch()]);
         assert_eq!(w.next_instr().unwrap().op, Op::IntAlu);
+        assert_eq!(w.next_op(), Some(Op::IntAlu));
         w.advance();
         assert_eq!(w.next_instr().unwrap().op, Op::Branch);
+        assert_eq!(w.next_op(), Some(Op::Branch));
         w.advance();
         assert_eq!(w.next_instr().unwrap().op, Op::Exit);
         w.advance();
         assert!(w.next_instr().is_none());
+        assert_eq!(w.next_op(), None);
+        assert!(!w.scoreboard_blocks(), "nothing left to block");
     }
 
     #[test]
     fn raw_hazard_blocks() {
         let mut w = warp_with(vec![Instr::alu(Op::FpFma, Reg(2), &[Reg(1)])]);
-        let i = w.next_instr().unwrap().clone();
-        assert!(!w.scoreboard_blocks(&i));
+        assert!(!w.scoreboard_blocks());
         w.set_pending(Reg(1));
-        assert!(w.scoreboard_blocks(&i), "RAW on r1");
+        assert!(w.scoreboard_blocks(), "RAW on r1");
         w.clear_pending(Reg(1));
-        assert!(!w.scoreboard_blocks(&i));
+        assert!(!w.scoreboard_blocks());
+        w.set_pending(Reg(3));
+        assert!(!w.scoreboard_blocks(), "r3 is not read or written");
     }
 
     #[test]
     fn waw_hazard_blocks() {
         let mut w = warp_with(vec![Instr::alu(Op::FpFma, Reg(2), &[])]);
-        let i = w.next_instr().unwrap().clone();
         w.set_pending(Reg(2));
-        assert!(w.scoreboard_blocks(&i), "WAW on r2");
+        assert!(w.scoreboard_blocks(), "WAW on r2");
     }
 
     #[test]
     fn mem_pending_mask_tracks_load_producers() {
         let mut w = warp_with(vec![Instr::alu(Op::FpFma, Reg(3), &[Reg(1), Reg(2)])]);
-        let i = w.next_instr().unwrap().clone();
         w.set_pending(Reg(1)); // ALU producer
-        assert!(w.scoreboard_blocks(&i));
-        assert!(
-            !w.blocked_on_mem(&i),
-            "ALU dependency is not a memory stall"
-        );
+        assert!(w.scoreboard_blocks());
+        assert!(!w.blocked_on_mem(), "ALU dependency is not a memory stall");
         w.set_pending_mem(Reg(2)); // load producer
-        assert!(w.blocked_on_mem(&i), "load dependency is a memory stall");
+        assert!(w.blocked_on_mem(), "load dependency is a memory stall");
         w.clear_pending(Reg(2));
-        assert!(!w.blocked_on_mem(&i));
-        assert!(w.scoreboard_blocks(&i), "r1 still pending");
+        assert!(!w.blocked_on_mem());
+        assert!(w.scoreboard_blocks(), "r1 still pending");
         assert_eq!(w.pending_mem, 0, "clear_pending clears the mem bit too");
     }
 
@@ -315,8 +394,7 @@ mod tests {
             Reg(3),
             MemAccess::coalesced(Space::Global, crisp_trace::DataClass::Compute, 4, 0, 32),
         )]);
-        let i = w.next_instr().unwrap().clone();
         w.set_pending(Reg(3));
-        assert!(w.scoreboard_blocks(&i));
+        assert!(w.scoreboard_blocks());
     }
 }

@@ -252,3 +252,48 @@ fn periodic_checkpoint_files_resume_bit_identically() {
     assert_identical(&full, &r, "greedy resumed from periodic checkpoint");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Per-SM sleep is invisible: an SM that sleeps through stalled cycles
+/// must count them exactly as one that is woken again and again. A
+/// checkpoint round trip restores every SM awake, so a run interrupted
+/// every 97 cycles re-derives each sleep from scratch; it must match the
+/// uninterrupted run at 1 and 2 threads.
+#[test]
+fn sleeping_sms_match_sms_woken_by_checkpoint_round_trips() {
+    let spec = PartitionSpec::fg_even(&gpu(), GRAPHICS_STREAM, COMPUTE_STREAM);
+    let sim = |threads| {
+        Simulation::builder()
+            .gpu(gpu())
+            .partition(spec.clone())
+            .threads(threads)
+            .telemetry(Telemetry::NONE)
+            .trace(bundle())
+            .build()
+    };
+    let full = sim(1).run_or_panic();
+    for threads in [1, 2] {
+        let mut woken = sim(threads);
+        let mut round_trips = 0;
+        while !woken.run_until(woken.now() + 97).expect("run") {
+            let mut bytes = Vec::new();
+            woken.write_checkpoint(&mut bytes).expect("serialize");
+            woken = GpuSim::read_checkpoint(&bytes[..]).expect("deserialize");
+            woken.set_threads(threads);
+            round_trips += 1;
+        }
+        assert!(round_trips > 10, "only {round_trips} round trips");
+        let uninterrupted = sim(threads).run_or_panic();
+        for (r, what) in [
+            (uninterrupted, "uninterrupted"),
+            (woken.run_or_panic(), "woken"),
+        ] {
+            let what = format!("{what} @ {threads} threads");
+            assert_eq!(r.per_sm_stalls, full.per_sm_stalls, "{what}: stalls");
+            assert_eq!(r.cycles, full.cycles, "{what}: cycles");
+            // Per-stream cycles and instructions (and CTAs, kernels, DRAM
+            // bytes with them).
+            assert_eq!(r.per_stream, full.per_stream, "{what}: per-stream stats");
+            assert_eq!(r.l2_stats, full.l2_stats, "{what}: L2 stats");
+        }
+    }
+}
