@@ -157,6 +157,8 @@ struct StreamAcc {
 #[derive(Default)]
 pub(crate) struct InterferenceAcc {
     streams: BTreeMap<StreamId, StreamAcc>,
+    /// Coalescer output, reused across every access of the pass.
+    chunks: Vec<u64>,
 }
 
 impl InterferenceAcc {
@@ -176,6 +178,7 @@ impl InterferenceAcc {
     /// A kernel launch: fold its cached-space footprint into the stream's
     /// current phase.
     pub(crate) fn on_kernel(&mut self, id: StreamId, kind: StreamKind, k: &KernelTrace) {
+        let mut chunks = std::mem::take(&mut self.chunks);
         let s = self.stream(id, kind);
         let phase = s.cursor;
         while s.phases.len() <= phase {
@@ -192,14 +195,18 @@ impl InterferenceAcc {
                     if !m.space.is_cached() {
                         continue;
                     }
-                    let chunks = m.distinct_chunks(SECTOR_BYTES);
+                    m.distinct_chunks_into(SECTOR_BYTES, &mut chunks);
                     if matches!(i.op, crisp_trace::Op::St(sp) if sp != crisp_trace::Space::Shared) {
                         fp.store_sectors.extend(chunks.iter().copied());
                     }
-                    fp.sectors.entry(m.class).or_default().extend(chunks);
+                    fp.sectors
+                        .entry(m.class)
+                        .or_default()
+                        .extend(chunks.iter().copied());
                 }
             }
         }
+        self.chunks = chunks;
     }
 
     /// Score every phase against `spec`, appending findings to `out` and

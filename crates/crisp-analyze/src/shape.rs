@@ -43,19 +43,21 @@ pub(crate) struct MemStats {
 }
 
 /// Serialisation degree of a shared access: the max number of distinct
-/// 4 B words any single bank must serve.
-pub(crate) fn bank_conflict_degree(mem: &MemAccess) -> usize {
+/// 4 B words any single bank must serve. `scratch` is reused across calls.
+pub(crate) fn bank_conflict_degree(mem: &MemAccess, scratch: &mut Vec<u64>) -> usize {
     let mut counts = [0usize; SHARED_BANKS as usize];
-    for word in mem.distinct_chunks(BANK_WORD_BYTES) {
+    mem.distinct_chunks_into(BANK_WORD_BYTES, scratch);
+    for &word in scratch.iter() {
         counts[(word % SHARED_BANKS) as usize] += 1;
     }
     counts.iter().copied().max().unwrap_or(0)
 }
 
 /// Sector slack of a global access: (sectors touched, fewest sectors its
-/// distinct bytes could occupy).
-pub(crate) fn sector_slack(mem: &MemAccess) -> (usize, usize) {
-    let sectors = mem.distinct_chunks(SECTOR_BYTES).len();
+/// distinct bytes could occupy). `scratch` is reused across calls.
+pub(crate) fn sector_slack(mem: &MemAccess, scratch: &mut Vec<u64>) -> (usize, usize) {
+    mem.distinct_chunks_into(SECTOR_BYTES, scratch);
+    let sectors = scratch.len();
     let distinct_bytes: u64 = crate::race::merged_intervals(mem)
         .iter()
         .map(|(lo, hi)| hi - lo)
@@ -92,6 +94,7 @@ pub(crate) fn check_kernel(
 ) -> MemStats {
     let mut stats = MemStats::default();
     stats.footprint.add_kernel(k);
+    let mut chunks = Vec::new();
 
     for (ci, cta) in k.ctas.iter().enumerate() {
         for (wi, w) in cta.warps.iter().enumerate() {
@@ -107,7 +110,7 @@ pub(crate) fn check_kernel(
                     Space::Global | Space::Local => {
                         stats.global_accesses += 1;
                         if mem.space == Space::Global {
-                            let (sectors, ideal) = sector_slack(mem);
+                            let (sectors, ideal) = sector_slack(mem, &mut chunks);
                             if sectors >= cfg.uncoalesced_min_sectors
                                 && sectors as f64 > ideal as f64 * cfg.uncoalesced_slack
                             {
@@ -118,7 +121,7 @@ pub(crate) fn check_kernel(
                     }
                     Space::Shared => {
                         stats.shared_accesses += 1;
-                        let degree = bank_conflict_degree(mem);
+                        let degree = bank_conflict_degree(mem, &mut chunks);
                         if degree >= cfg.bank_conflict_threshold {
                             conflict_count += 1;
                             conflict.get_or_insert((ii, degree));

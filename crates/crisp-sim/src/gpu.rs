@@ -406,6 +406,14 @@ pub struct GpuSim {
     cta_seq: u64,
     last_progress: u64,
     rr_offset: usize,
+    /// Bumped whenever something outside the SMs may let a CTA fit: a
+    /// stream pops a command or finishes, or the slicer resets or samples.
+    /// Not checkpointed, like `dispatch_gate`.
+    dispatch_gen: u64,
+    /// Per SM, `(dispatch_gen, Sm::commits())` as of its last CTA-dispatch
+    /// scan that launched nothing. While both still match, nothing that
+    /// decides whether a CTA fits has changed, so the scan is skipped.
+    dispatch_gate: Vec<Option<(u64, u64)>>,
     /// Cached per-stream SM allowlists (index = SM id), built at load().
     allowed_sms: BTreeMap<StreamId, Vec<bool>>,
     kernel_log: Vec<KernelRecord>,
@@ -553,6 +561,8 @@ impl GpuSim {
             cta_seq: 0,
             last_progress: 0,
             rr_offset: 0,
+            dispatch_gen: 0,
+            dispatch_gate: vec![None; cfg.n_sms],
             allowed_sms: BTreeMap::new(),
             kernel_log: Vec::new(),
             checkpoint_every: 0,
@@ -1245,6 +1255,7 @@ impl GpuSim {
                 let Some(cmd) = self.streams[si].front().cloned() else {
                     if !self.streams[si].finished && self.streams[si].started {
                         self.streams[si].finished = true;
+                        self.dispatch_gen += 1;
                         let id = self.streams[si].id;
                         self.stats
                             .get_mut(&id)
@@ -1254,6 +1265,7 @@ impl GpuSim {
                     break;
                 };
                 self.streams[si].next_cmd += 1;
+                self.dispatch_gen += 1;
                 match cmd {
                     CommandMeta::Marker(label) => {
                         if let Some(rec) = self.recorder.as_mut() {
@@ -1326,6 +1338,7 @@ impl GpuSim {
     fn reset_slicer<S: AsSm>(&mut self, now: u64, sms: &mut [S]) {
         if let Some(sl) = self.slicer.as_mut() {
             sl.on_reset(now);
+            self.dispatch_gen += 1;
             let streams = sl.streams();
             for sm in sms.iter_mut() {
                 for s in streams {
@@ -1368,6 +1381,12 @@ impl GpuSim {
     /// Issue at most one CTA per SM per cycle, honouring the partition.
     /// The CTA's instruction slice is demand-paged through the trace
     /// source here — the first (and only) decode of that CTA's payload.
+    ///
+    /// An SM whose last scan launched nothing is skipped until it commits
+    /// a CTA or `dispatch_gen` moves: whether a CTA fits depends only on
+    /// the SM's resources (freed only by commits), the streams' pending
+    /// kernels (changed only by pops), and quotas (changed only by the
+    /// slicer and by a partner stream finishing).
     fn issue_ctas<S: AsSm>(&mut self, now: u64, sms: &mut [S]) -> io::Result<()> {
         let n_streams = self.streams.len();
         if n_streams == 0 {
@@ -1383,6 +1402,11 @@ impl GpuSim {
         };
         self.rr_offset += 1;
         for sm_id in 0..sms.len() {
+            let gate = Some((self.dispatch_gen, sms[sm_id].sm().commits()));
+            if self.dispatch_gate[sm_id] == gate {
+                continue;
+            }
+            let mut launched = false;
             for k in 0..n_streams {
                 let si = (start + k) % n_streams;
                 let st = &self.streams[si];
@@ -1423,7 +1447,13 @@ impl GpuSim {
                     rec.cta_issued(seq, sm_id as u32, id.0, cta_index, now);
                 }
                 self.last_progress = self.now;
+                launched = true;
                 break; // one CTA per SM per cycle
+            }
+            // Both halves of the gate only grow, so after a launch the old
+            // entry can never match again.
+            if !launched {
+                self.dispatch_gate[sm_id] = gate;
             }
         }
         Ok(())
@@ -1436,6 +1466,7 @@ impl GpuSim {
         if !sl.is_sampling() {
             return;
         }
+        self.dispatch_gen += 1;
         let n = sms.len();
         let _ = sl.maybe_decide(now, n, |sm, stream| {
             sms[sm].sm_mut().take_window_issued(stream)
@@ -1523,6 +1554,18 @@ impl GpuSim {
         // poisoned flag is handled explicitly below.
         fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
             m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+        }
+
+        /// Sets `quit` and wakes the workers when the driver leaves the
+        /// scope, by returning or by panicking: the scope joins every
+        /// worker before it returns or re-raises the driver's panic.
+        struct QuitOnDrop<'a>(&'a Ctrl);
+
+        impl Drop for QuitOnDrop<'_> {
+            fn drop(&mut self) {
+                lock(&self.0.state).quit = true;
+                self.0.go.notify_all();
+            }
         }
 
         let n_sms = self.sms.len();
@@ -1620,6 +1663,7 @@ impl GpuSim {
                 });
             }
 
+            let _quit = QuitOnDrop(ctrl);
             loop {
                 if limit.is_some_and(|l| self.now >= l) {
                     break;
@@ -1687,9 +1731,6 @@ impl GpuSim {
                     break;
                 }
             }
-            let mut st = lock(&ctrl.state);
-            st.quit = true;
-            ctrl.go.notify_all();
         });
 
         if let Some(h) = self.host.as_mut() {
@@ -2371,6 +2412,7 @@ impl GpuSim {
         }
 
         Ok(GpuSim {
+            dispatch_gate: vec![None; cfg.n_sms],
             cfg,
             spec,
             sms,
@@ -2397,6 +2439,7 @@ impl GpuSim {
             cta_seq,
             last_progress,
             rr_offset,
+            dispatch_gen: 0,
             allowed_sms,
             kernel_log,
             checkpoint_every: 0,
@@ -2878,6 +2921,75 @@ mod tests {
         s.launch(alu_kernel("hog", 4, 8, 1, 512));
         gpu.load(TraceBundle::from_streams(vec![s]));
         let _ = gpu.run_or_panic();
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the SM")]
+    fn unplaceable_kernel_fails_fast_with_two_threads() {
+        // The panic is raised on the driving thread inside the sharded
+        // loop's scope; the workers must be told to quit, not left waiting.
+        let mut gpu = GpuSim::with_spec(GpuConfig::test_tiny(), PartitionSpec::greedy());
+        gpu.set_threads(2);
+        let mut s = Stream::new(C, StreamKind::Compute);
+        s.launch(alu_kernel("hog", 4, 8, 1, 512));
+        gpu.load(TraceBundle::from_streams(vec![s]));
+        let _ = gpu.run_or_panic();
+    }
+
+    #[test]
+    fn a_freed_sm_takes_the_next_cta_in_the_following_cycle() {
+        // Every CTA fills an SM's 16 warp slots, so with 2 SMs the third
+        // CTA waits for a commit. Unequal lengths make SM 0 finish first.
+        let long = {
+            let mut w = WarpTrace::new();
+            for i in 0..60 {
+                w.push(Instr::alu(Op::FpFma, Reg((i % 8) as u16 + 1), &[]));
+            }
+            w.seal();
+            w
+        };
+        let short = {
+            let mut w = WarpTrace::new();
+            for i in 0..20 {
+                w.push(Instr::alu(Op::FpFma, Reg((i % 8) as u16 + 1), &[]));
+            }
+            w.seal();
+            w
+        };
+        let ctas = vec![
+            CtaTrace::new(vec![short.clone(); 16]),
+            CtaTrace::new(vec![long.clone(); 16]),
+            CtaTrace::new(vec![short; 16]),
+        ];
+        let mut s = Stream::new(C, StreamKind::Compute);
+        s.launch(KernelTrace::new("full", 512, 16, 0, ctas));
+        for threads in [1, 2] {
+            let mut gpu = GpuSim::with_spec(GpuConfig::test_tiny(), PartitionSpec::greedy());
+            gpu.set_threads(threads);
+            gpu.set_telemetry(true, false);
+            gpu.load(TraceBundle::from_streams(vec![s.clone()]));
+            let r = gpu.run_or_panic();
+            let mut spans: Vec<_> = r
+                .timeline
+                .spans()
+                .filter(|e| e.cat == "cta")
+                .map(|e| (e.name.clone(), e.track, e.start, e.start + e.dur))
+                .collect();
+            spans.sort_by(|a, b| a.0.cmp(&b.0));
+            let [(_, sm0, start0, end0), (_, sm1, start1, end1), (_, sm2, start2, _)] = spans[..]
+            else {
+                panic!("three CTA spans expected: {spans:?}");
+            };
+            assert_eq!((start0, start1), (0, 0), "{spans:?}");
+            assert!(end0 < end1, "{spans:?}");
+            assert_eq!(sm2, sm0, "the freed SM takes the third CTA: {spans:?}");
+            assert_ne!(sm0, sm1);
+            assert_eq!(
+                start2,
+                end0 + 1,
+                "{threads} thread(s): launched the cycle after the commit: {spans:?}"
+            );
+        }
     }
 
     #[test]

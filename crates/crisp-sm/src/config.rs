@@ -17,6 +17,9 @@ pub enum SchedulerPolicy {
     Lrr,
 }
 
+/// Warp slots one scheduler can own: its ready set is one `u64` mask.
+pub(crate) const MAX_WARPS_PER_SCHEDULER: u32 = 64;
+
 /// Static configuration of one SM.
 ///
 /// Defaults follow the paper's Table II (shared by the Jetson Orin and the
@@ -164,6 +167,12 @@ impl CheckpointState for SmConfig {
         if cfg.schedulers == 0 || cfg.schedulers > 4096 {
             return Err(bad(format!("implausible schedulers {}", cfg.schedulers)));
         }
+        if cfg.max_warps > MAX_WARPS_PER_SCHEDULER * cfg.schedulers {
+            return Err(bad(format!(
+                "max_warps {} exceeds {MAX_WARPS_PER_SCHEDULER} per scheduler ({} schedulers)",
+                cfg.max_warps, cfg.schedulers
+            )));
+        }
         for (name, v) in [
             ("fp_units", cfg.fp_units),
             ("int_units", cfg.int_units),
@@ -236,6 +245,26 @@ mod tests {
         let mut r = Reader::new(buf.as_slice());
         let err = SmConfig::restore(&mut r, ()).unwrap_err();
         assert!(err.to_string().contains("max_warps"));
+
+        // More warps than the schedulers' masks can hold.
+        for (max_warps, schedulers, ok) in [(256, 4, true), (257, 4, false), (65, 1, false)] {
+            let c = SmConfig {
+                max_warps,
+                max_threads: max_warps * 32,
+                schedulers,
+                ..SmConfig::default()
+            };
+            let mut buf = Vec::new();
+            c.save(&mut Writer::new(&mut buf), ()).unwrap();
+            let restored = SmConfig::restore(&mut Reader::new(buf.as_slice()), ());
+            match restored {
+                Ok(r) => assert!(ok && r == c, "{max_warps} warps on {schedulers}"),
+                Err(e) => assert!(
+                    !ok && e.to_string().contains("per scheduler"),
+                    "{max_warps} warps on {schedulers}: {e}"
+                ),
+            }
+        }
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::io;
+use std::mem;
 
 use crisp_ckpt::{bad, CheckpointState, Reader, Writer};
 use crisp_mem::{MemConfig, SmMemPort};
@@ -10,10 +11,10 @@ use crisp_trace::{
     DataClass, KernelId, Op, Reg, Space, StreamId, TraceSource, NUM_BARRIERS, SECTOR_BYTES,
 };
 
-use crate::config::{SchedulerPolicy, SmConfig};
+use crate::config::{SchedulerPolicy, SmConfig, MAX_WARPS_PER_SCHEDULER};
 use crate::cta::{CtaResources, CtaWork, ResourceQuota, SmResources};
 use crate::lsu::{Lsu, LsuEntry};
-use crate::units::ExecUnits;
+use crate::units::{ExecUnits, Pipe};
 use crate::warp::{WarpState, WarpStatus};
 
 /// A committed CTA, reported so the GPU-level scheduler can refill the SM.
@@ -118,14 +119,106 @@ enum StallCause {
     MemPending,
 }
 
-/// What one warp slot offers its scheduler in a cycle.
-enum SlotState {
-    /// No live warp: empty slot, exited warp, or exhausted trace.
-    Idle,
-    /// Can issue now; carries the warp's age for GTO's oldest-first pick.
-    Ready(u64),
-    /// Live but unable to issue, for this reason.
-    Blocked(StallCause),
+/// What a live warp waits on, or which issue resource its next
+/// instruction needs. Every live warp is in exactly one class; empty
+/// slots, exited warps and warps past the end of their trace are in none.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Class {
+    Barrier,
+    MemPending,
+    Scoreboard,
+    /// A load or store: ready while the LSU queue has room.
+    Lsu,
+    /// `Bar` or `Exit`: always ready.
+    Control,
+    Int,
+    Fp,
+    Sfu,
+    Tensor,
+}
+
+const N_CLASSES: usize = 9;
+
+/// The classes ready while their pipe group has a free pipe.
+const PIPE_CLASSES: [(Class, Pipe); 4] = [
+    (Class::Int, Pipe::Int),
+    (Class::Fp, Pipe::Fp),
+    (Class::Sfu, Pipe::Sfu),
+    (Class::Tensor, Pipe::Tensor),
+];
+
+impl Class {
+    /// The class of a resident warp, from its status and cached hazard
+    /// masks.
+    fn of(w: &WarpState) -> Option<Class> {
+        let op = match (w.status, w.next_op()) {
+            (WarpStatus::Exited, _) | (WarpStatus::Ready, None) => return None,
+            (WarpStatus::AtBarrier(_), _) => return Some(Class::Barrier),
+            (WarpStatus::Ready, Some(op)) => op,
+        };
+        Some(if w.blocked_on_mem() {
+            Class::MemPending
+        } else if w.scoreboard_blocks() {
+            Class::Scoreboard
+        } else {
+            match Pipe::of(op) {
+                Some(Pipe::Int) => Class::Int,
+                Some(Pipe::Fp) => Class::Fp,
+                Some(Pipe::Sfu) => Class::Sfu,
+                Some(Pipe::Tensor) => Class::Tensor,
+                None if op.is_mem() => Class::Lsu,
+                None => Class::Control,
+            }
+        })
+    }
+}
+
+/// Per-stream instruction counts: a short list sorted by stream (an SM
+/// serves one or two streams), so a lookup is a scan of one cache line.
+/// Only non-zero counts are checkpointed.
+#[derive(Debug, Default)]
+struct StreamCounts(Vec<(StreamId, u64)>);
+
+impl StreamCounts {
+    fn get(&self, s: StreamId) -> u64 {
+        self.0.iter().find(|e| e.0 == s).map_or(0, |e| e.1)
+    }
+
+    fn entry(&mut self, s: StreamId) -> &mut u64 {
+        let i = self
+            .0
+            .binary_search_by_key(&s, |e| e.0)
+            .unwrap_or_else(|i| {
+                self.0.insert(i, (s, 0));
+                i
+            });
+        &mut self.0[i].1
+    }
+
+    fn take(&mut self, s: StreamId) -> u64 {
+        self.0
+            .iter_mut()
+            .find(|e| e.0 == s)
+            .map_or(0, |e| mem::take(&mut e.1))
+    }
+
+    fn save<W: io::Write>(&self, w: &mut Writer<W>) -> io::Result<()> {
+        w.len(self.0.iter().filter(|e| e.1 > 0).count())?;
+        for &(s, n) in self.0.iter().filter(|e| e.1 > 0) {
+            w.stream(s)?;
+            w.u64(n)?;
+        }
+        Ok(())
+    }
+
+    fn restore<R: io::Read>(r: &mut Reader<R>) -> io::Result<Self> {
+        let mut counts = StreamCounts::default();
+        for _ in 0..r.len(1 << 16)? {
+            let s = r.stream()?;
+            *counts.entry(s) = r.u64()?;
+        }
+        Ok(counts)
+    }
 }
 
 #[derive(Debug)]
@@ -182,8 +275,17 @@ pub struct Sm {
     launch_seq: u64,
     /// Greedy pointer per scheduler (GTO's "greedy" half).
     last_issued: Vec<Option<usize>>,
-    issued_by_stream: HashMap<StreamId, u64>,
-    window_issued: HashMap<StreamId, u64>,
+    /// `masks[s][c]` has bit `p` set when the warp in slot
+    /// `s + p * schedulers` (scheduler `s`'s `p`-th slot) is in class `c`.
+    /// Derived from the warps by [`Sm::refresh`]; not checkpointed.
+    masks: Vec<[u64; N_CLASSES]>,
+    /// The class each slot's mask bit is filed under.
+    class_of: Vec<Option<Class>>,
+    /// CTAs committed since construction or restore; the GPU rescans this
+    /// SM for CTA dispatch only when this or its dispatch state changed.
+    commits: u64,
+    issued_by_stream: StreamCounts,
+    window_issued: StreamCounts,
     n_resident_warps: usize,
     stalls: StallBreakdown,
     /// While `now < sleep_until` the SM is asleep: nothing it holds can
@@ -210,12 +312,18 @@ impl Sm {
     ///
     /// # Panics
     ///
-    /// Panics if the port's SM id does not match `id`.
+    /// Panics if the port's SM id does not match `id`, or if `cfg` gives a
+    /// scheduler more than 64 warp slots.
     pub fn new(id: usize, cfg: SmConfig, port: SmMemPort) -> Self {
         assert_eq!(
             port.sm() as usize,
             id,
             "memory port belongs to a different SM"
+        );
+        assert!(
+            cfg.max_warps <= MAX_WARPS_PER_SCHEDULER * cfg.schedulers,
+            "{} warps exceed {MAX_WARPS_PER_SCHEDULER} per scheduler",
+            cfg.max_warps
         );
         Sm {
             id,
@@ -232,8 +340,11 @@ impl Sm {
             next_inflight: 0,
             launch_seq: 0,
             last_issued: vec![None; cfg.schedulers as usize],
-            issued_by_stream: HashMap::new(),
-            window_issued: HashMap::new(),
+            masks: vec![[0; N_CLASSES]; cfg.schedulers as usize],
+            class_of: vec![None; cfg.max_warps as usize],
+            commits: 0,
+            issued_by_stream: StreamCounts::default(),
+            window_issued: StreamCounts::default(),
             n_resident_warps: 0,
             stalls: StallBreakdown::default(),
             sleep_until: 0,
@@ -314,6 +425,7 @@ impl Sm {
                 self.launch_seq,
             ));
             self.launch_seq += 1;
+            self.refresh(slot);
         }
         self.resources.allocate(work.stream, res);
         self.ctas[cta_slot] = Some(ResidentCta {
@@ -344,19 +456,27 @@ impl Sm {
             let f = self.inflight.remove(&inflight_id).expect("checked above");
             if let (Some(reg), Some(w)) = (f.reg, self.warps[f.warp_slot].as_mut()) {
                 w.clear_pending(reg);
+                self.refresh(f.warp_slot);
             }
         }
     }
 
     /// Total warp instructions issued on behalf of `stream`.
     pub fn issued_for(&self, stream: StreamId) -> u64 {
-        self.issued_by_stream.get(&stream).copied().unwrap_or(0)
+        self.issued_by_stream.get(stream)
     }
 
     /// Instructions issued for `stream` since the last call (the
     /// warped-slicer sampling window).
     pub fn take_window_issued(&mut self, stream: StreamId) -> u64 {
-        self.window_issued.remove(&stream).unwrap_or(0)
+        self.window_issued.take(stream)
+    }
+
+    /// CTAs this SM has committed since it was built or restored. Only
+    /// commits free resources, so a CTA that did not fit cannot fit
+    /// before this changes, unless the GPU's dispatch state does.
+    pub fn commits(&self) -> u64 {
+        self.commits
     }
 
     /// Whether any work is resident or in flight.
@@ -458,6 +578,7 @@ impl Sm {
             self.writebacks.pop();
             if let Some(w) = self.warps[slot].as_mut() {
                 w.clear_pending(Reg(reg));
+                self.refresh(slot);
             }
         }
 
@@ -481,7 +602,10 @@ impl Sm {
         // 4. Each scheduler issues at most one instruction (GTO).
         let mut slots = StallBreakdown::default();
         for s in 0..self.cfg.schedulers as usize {
-            match self.pick_warp(s, now) {
+            let pick = self.pick_warp(s, now);
+            #[cfg(test)]
+            assert_eq!(pick, self.scan_pick(s, now), "scheduler {s}, cycle {now}");
+            match pick {
                 Ok(slot) => {
                     self.issue_from(slot, now, &mut out);
                     self.last_issued[s] = Some(slot);
@@ -513,96 +637,86 @@ impl Sm {
     /// Warp selection for scheduler `s`, per the configured policy: the
     /// slot to issue from, or why none can issue — the highest-priority
     /// cause over the scheduler's live warps, or `None` when it has no live
-    /// warp at all (an `empty` slot). One scan finds both.
+    /// warp at all (an `empty` slot). Reads only the class masks.
     fn pick_warp(&self, s: usize, now: u64) -> Result<usize, Option<StallCause>> {
-        match self.cfg.scheduler {
-            SchedulerPolicy::Gto => self.pick_warp_gto(s, now),
-            SchedulerPolicy::Lrr => self.pick_warp_lrr(s, now),
+        let m = &self.masks[s];
+        let mut ready = m[Class::Control as usize];
+        if m[Class::Lsu as usize] != 0 && self.lsu.has_room() {
+            ready |= m[Class::Lsu as usize];
         }
-    }
-
-    /// GTO: the greedily-held warp first, else the oldest ready warp owned
-    /// by this scheduler.
-    fn pick_warp_gto(&self, s: usize, now: u64) -> Result<usize, Option<StallCause>> {
-        let n_sched = self.cfg.schedulers as usize;
-        if let Some(slot) = self.last_issued[s] {
-            if let SlotState::Ready(_) = self.slot_state(slot, now) {
-                return Ok(slot);
+        for (c, pipe) in PIPE_CLASSES {
+            if m[c as usize] != 0 && self.units.has_free(pipe, now) {
+                ready |= m[c as usize];
             }
         }
-        let mut best: Option<(u64, usize)> = None;
-        let mut cause = None;
-        for slot in (s..self.warps.len()).step_by(n_sched) {
-            match self.slot_state(slot, now) {
-                SlotState::Ready(age) => {
-                    if best.is_none_or(|(ba, _)| age < ba) {
-                        best = Some((age, slot));
+        if ready == 0 {
+            // Nothing ready, so a non-empty LSU class means a full queue
+            // and a non-empty pipe class means no free pipe.
+            let has = |c: Class| m[c as usize] != 0;
+            return Err(if has(Class::MemPending) {
+                Some(StallCause::MemPending)
+            } else if has(Class::Lsu) {
+                Some(StallCause::MshrFull)
+            } else if has(Class::Scoreboard) {
+                Some(StallCause::Scoreboard)
+            } else if PIPE_CLASSES.iter().any(|&(c, _)| has(c)) {
+                Some(StallCause::PipeBusy)
+            } else if has(Class::Barrier) {
+                Some(StallCause::Barrier)
+            } else {
+                None
+            });
+        }
+        let n_sched = self.cfg.schedulers as usize;
+        let slot = |p: u32| s + p as usize * n_sched;
+        // A scheduler's pointer always names one of its own slots.
+        let last = self.last_issued[s].map(|l| ((l - s) / n_sched) as u32);
+        let p = match self.cfg.scheduler {
+            // GTO: the greedily-held warp if ready, else the oldest ready.
+            SchedulerPolicy::Gto => match last {
+                Some(p) if ready >> p & 1 == 1 => p,
+                _ => {
+                    let mut bits = ready;
+                    let mut best: Option<(u64, u32)> = None;
+                    while bits != 0 {
+                        let p = bits.trailing_zeros();
+                        bits &= bits - 1;
+                        let w = self.warps[slot(p)].as_ref().expect("classed warp");
+                        if best.is_none_or(|(age, _)| w.age < age) {
+                            best = Some((w.age, p));
+                        }
                     }
+                    best.expect("ready is non-empty").1
                 }
-                SlotState::Blocked(c) => cause = cause.max(Some(c)),
-                SlotState::Idle => {}
+            },
+            // LRR: the first ready warp after the last one issued, wrapping.
+            SchedulerPolicy::Lrr => {
+                let after = last.map_or(0, |p| p + 1);
+                let later = ready.checked_shr(after).map_or(0, |r| r << after);
+                if later != 0 {
+                    later.trailing_zeros()
+                } else {
+                    ready.trailing_zeros()
+                }
             }
-        }
-        best.map(|(_, slot)| slot).ok_or(cause)
+        };
+        Ok(slot(p))
     }
 
-    /// LRR: the first ready warp strictly after the last one issued,
-    /// wrapping around this scheduler's slots.
-    ///
-    /// Scheduler `s` owns slots `s, s + n_sched, s + 2*n_sched, …`; the
-    /// k-th owned slot is computed arithmetically so the per-cycle hot path
-    /// stays allocation-free.
-    fn pick_warp_lrr(&self, s: usize, now: u64) -> Result<usize, Option<StallCause>> {
-        let n_sched = self.cfg.schedulers as usize;
-        if s >= self.warps.len() {
-            return Err(None);
-        }
-        let n_slots = (self.warps.len() - s).div_ceil(n_sched);
-        let start = match self.last_issued[s] {
-            // last = s + p*n_sched → resume from owned index p + 1.
-            Some(last) if last >= s => (last - s) / n_sched + 1,
-            _ => 0,
-        };
-        let mut cause = None;
-        for k in 0..n_slots {
-            let slot = s + ((start + k) % n_slots) * n_sched;
-            match self.slot_state(slot, now) {
-                SlotState::Ready(_) => return Ok(slot),
-                SlotState::Blocked(c) => cause = cause.max(Some(c)),
-                SlotState::Idle => {}
+    /// Re-file the warp in `slot` under its current class. Called wherever
+    /// its existence, status, cursor or pending registers change.
+    fn refresh(&mut self, slot: usize) {
+        let class = self.warps[slot].as_ref().and_then(Class::of);
+        let old = mem::replace(&mut self.class_of[slot], class);
+        if old != class {
+            let n_sched = self.cfg.schedulers as usize;
+            let (m, bit) = (&mut self.masks[slot % n_sched], 1u64 << (slot / n_sched));
+            if let Some(c) = old {
+                m[c as usize] &= !bit;
             }
-        }
-        Err(cause)
-    }
-
-    /// What the warp in `slot` offers its scheduler at `now`. Reads only
-    /// the warp's cached opcode and hazard masks, never its trace.
-    fn slot_state(&self, slot: usize, now: u64) -> SlotState {
-        let Some(w) = self.warps[slot].as_ref() else {
-            return SlotState::Idle;
-        };
-        let op = match (w.status, w.next_op()) {
-            (WarpStatus::Exited, _) | (WarpStatus::Ready, None) => return SlotState::Idle,
-            (WarpStatus::AtBarrier(_), _) => return SlotState::Blocked(StallCause::Barrier),
-            (WarpStatus::Ready, Some(op)) => op,
-        };
-        if w.blocked_on_mem() {
-            return SlotState::Blocked(StallCause::MemPending);
-        }
-        if w.scoreboard_blocks() {
-            return SlotState::Blocked(StallCause::Scoreboard);
-        }
-        match op {
-            Op::Ld(_) | Op::St(_) if !self.lsu.has_room() => {
-                SlotState::Blocked(StallCause::MshrFull)
+            if let Some(c) = class {
+                m[c as usize] |= bit;
             }
-            Op::Ld(_) | Op::St(_) | Op::Bar(_) | Op::Exit => SlotState::Ready(w.age),
-            // Unit availability is only *checked* here; reservation
-            // happens at issue.
-            op if (self.units.busy_count(op, now) as u32) < self.cfg.units_for(op) => {
-                SlotState::Ready(w.age)
-            }
-            _ => SlotState::Blocked(StallCause::PipeBusy),
         }
     }
 
@@ -632,9 +746,10 @@ impl Sm {
                 w.advance();
             }
         }
+        self.refresh(slot);
         out.issued += 1;
-        *self.issued_by_stream.entry(stream).or_insert(0) += 1;
-        *self.window_issued.entry(stream).or_insert(0) += 1;
+        *self.issued_by_stream.entry(stream) += 1;
+        *self.window_issued.entry(stream) += 1;
     }
 
     /// Hand the warp's next instruction, a load or store, to the LSU. The
@@ -715,14 +830,17 @@ impl Sm {
     /// divergent-slot traces wedge (and what the static prover catches).
     fn release_barrier(&mut self, cta_slot: usize, id: u8) {
         let cta = self.ctas[cta_slot].as_mut().expect("cta exists");
-        for &s in &cta.warp_slots {
+        cta.arrivals[id as usize] = 0;
+        let slots = mem::take(&mut cta.warp_slots);
+        for &s in &slots {
             if let Some(w) = self.warps[s].as_mut() {
                 if w.status == WarpStatus::AtBarrier(id) {
                     w.status = WarpStatus::Ready;
+                    self.refresh(s);
                 }
             }
         }
-        cta.arrivals[id as usize] = 0;
+        self.ctas[cta_slot].as_mut().expect("cta exists").warp_slots = slots;
     }
 
     fn issue_exit(&mut self, slot: usize, out: &mut CycleOutput) {
@@ -755,9 +873,11 @@ impl Sm {
         }
         if committed {
             let cta = self.ctas[cta_slot].take().expect("committing CTA exists");
-            for s in &cta.warp_slots {
-                self.warps[*s] = None;
+            for &s in &cta.warp_slots {
+                self.warps[s] = None;
+                self.refresh(s);
             }
+            self.commits += 1;
             self.n_resident_warps -= cta.warp_slots.len();
             self.resources.release(cta.stream, cta.resources);
             out.commits.push(CtaCommit {
@@ -912,15 +1032,8 @@ impl CheckpointState for Sm {
         for slot in &self.last_issued {
             w.option(slot.as_ref(), |w, &s| w.u64(s as u64))?;
         }
-        for counters in [&self.issued_by_stream, &self.window_issued] {
-            let mut streams: Vec<StreamId> = counters.keys().copied().collect();
-            streams.sort_unstable();
-            w.len(streams.len())?;
-            for s in streams {
-                w.stream(s)?;
-                w.u64(counters[&s])?;
-            }
-        }
+        self.issued_by_stream.save(w)?;
+        self.window_issued.save(w)?;
         self.stalls.save(w, ())
     }
 
@@ -1030,24 +1143,16 @@ impl CheckpointState for Sm {
             )));
         }
         let mut last_issued = Vec::with_capacity(n);
-        for _ in 0..n {
+        for sched in 0..n {
             let slot = r.option(|r| r.u64())?.map(|s| s as usize);
-            if slot.is_some_and(|s| s >= max_warps) {
+            if slot.is_some_and(|s| s >= max_warps || s % n_sched != sched) {
                 return Err(bad("scheduler pointer out of range"));
             }
             last_issued.push(slot);
         }
-        let mut counters = [HashMap::new(), HashMap::new()];
-        for map in &mut counters {
-            let n = r.len(1 << 16)?;
-            for _ in 0..n {
-                let s = r.stream()?;
-                let v = r.u64()?;
-                map.insert(s, v);
-            }
-        }
-        let [issued_by_stream, window_issued] = counters;
-        Ok(Sm {
+        let issued_by_stream = StreamCounts::restore(r)?;
+        let window_issued = StreamCounts::restore(r)?;
+        let mut sm = Sm {
             id,
             cfg,
             resources,
@@ -1062,13 +1167,20 @@ impl CheckpointState for Sm {
             next_inflight,
             launch_seq,
             last_issued,
+            masks: vec![[0; N_CLASSES]; n_sched],
+            class_of: vec![None; max_warps],
+            commits: 0,
             issued_by_stream,
             window_issued,
             n_resident_warps,
             stalls: StallBreakdown::restore(r, ())?,
             sleep_until: 0,
             idle_stalls: StallBreakdown::default(),
-        })
+        };
+        for slot in 0..max_warps {
+            sm.refresh(slot);
+        }
+        Ok(sm)
     }
 }
 
@@ -1105,6 +1217,100 @@ mod tests {
 
     fn mem() -> MemSystem {
         MemSystem::new(mem_cfg())
+    }
+
+    /// What one warp slot offers its scheduler in a cycle, per the
+    /// per-slot scan the class masks replaced.
+    enum SlotState {
+        /// No live warp: empty slot, exited warp, or exhausted trace.
+        Idle,
+        /// Can issue now; carries the warp's age for GTO's oldest-first pick.
+        Ready(u64),
+        /// Live but unable to issue, for this reason.
+        Blocked(StallCause),
+    }
+
+    /// The per-slot scan, kept as the oracle [`Sm::cycle`] checks every
+    /// mask pick against in tests.
+    impl Sm {
+        pub(super) fn scan_pick(&self, s: usize, now: u64) -> Result<usize, Option<StallCause>> {
+            match self.cfg.scheduler {
+                SchedulerPolicy::Gto => self.scan_gto(s, now),
+                SchedulerPolicy::Lrr => self.scan_lrr(s, now),
+            }
+        }
+
+        fn scan_gto(&self, s: usize, now: u64) -> Result<usize, Option<StallCause>> {
+            let n_sched = self.cfg.schedulers as usize;
+            if let Some(slot) = self.last_issued[s] {
+                if let SlotState::Ready(_) = self.slot_state(slot, now) {
+                    return Ok(slot);
+                }
+            }
+            let mut best: Option<(u64, usize)> = None;
+            let mut cause = None;
+            for slot in (s..self.warps.len()).step_by(n_sched) {
+                match self.slot_state(slot, now) {
+                    SlotState::Ready(age) => {
+                        if best.is_none_or(|(ba, _)| age < ba) {
+                            best = Some((age, slot));
+                        }
+                    }
+                    SlotState::Blocked(c) => cause = cause.max(Some(c)),
+                    SlotState::Idle => {}
+                }
+            }
+            best.map(|(_, slot)| slot).ok_or(cause)
+        }
+
+        fn scan_lrr(&self, s: usize, now: u64) -> Result<usize, Option<StallCause>> {
+            let n_sched = self.cfg.schedulers as usize;
+            if s >= self.warps.len() {
+                return Err(None);
+            }
+            let n_slots = (self.warps.len() - s).div_ceil(n_sched);
+            let start = match self.last_issued[s] {
+                Some(last) if last >= s => (last - s) / n_sched + 1,
+                _ => 0,
+            };
+            let mut cause = None;
+            for k in 0..n_slots {
+                let slot = s + ((start + k) % n_slots) * n_sched;
+                match self.slot_state(slot, now) {
+                    SlotState::Ready(_) => return Ok(slot),
+                    SlotState::Blocked(c) => cause = cause.max(Some(c)),
+                    SlotState::Idle => {}
+                }
+            }
+            Err(cause)
+        }
+
+        fn slot_state(&self, slot: usize, now: u64) -> SlotState {
+            let Some(w) = self.warps[slot].as_ref() else {
+                return SlotState::Idle;
+            };
+            let op = match (w.status, w.next_op()) {
+                (WarpStatus::Exited, _) | (WarpStatus::Ready, None) => return SlotState::Idle,
+                (WarpStatus::AtBarrier(_), _) => return SlotState::Blocked(StallCause::Barrier),
+                (WarpStatus::Ready, Some(op)) => op,
+            };
+            if w.blocked_on_mem() {
+                return SlotState::Blocked(StallCause::MemPending);
+            }
+            if w.scoreboard_blocks() {
+                return SlotState::Blocked(StallCause::Scoreboard);
+            }
+            match op {
+                Op::Ld(_) | Op::St(_) if !self.lsu.has_room() => {
+                    SlotState::Blocked(StallCause::MshrFull)
+                }
+                Op::Ld(_) | Op::St(_) | Op::Bar(_) | Op::Exit => SlotState::Ready(w.age),
+                op if (self.units.busy_count(op, now) as u32) < self.cfg.units_for(op) => {
+                    SlotState::Ready(w.age)
+                }
+                _ => SlotState::Blocked(StallCause::PipeBusy),
+            }
+        }
     }
 
     fn new_sm(cfg: SmConfig) -> Sm {
@@ -1544,6 +1750,180 @@ mod tests {
         assert_eq!(sm.issued_for(StreamId(0)), 6);
         assert_eq!(sm.take_window_issued(StreamId(0)), 6);
         assert_eq!(sm.take_window_issued(StreamId(0)), 0, "window resets");
+    }
+
+    fn kernel(name: &str, warps: Vec<WarpTrace>) -> Arc<KernelTrace> {
+        let threads = 32 * warps.len() as u32;
+        Arc::new(KernelTrace::new(
+            name,
+            threads,
+            16,
+            0,
+            vec![CtaTrace::new(warps)],
+        ))
+    }
+
+    /// Every cycle of these runs asserts, inside [`Sm::cycle`], that the
+    /// mask pick and its stall cause equal the slot scan's. Each kernel
+    /// drives one stall cause, under both policies.
+    #[test]
+    fn mask_picks_match_the_slot_scan_every_cycle() {
+        // Barrier: warp 1 parks while warp 0 grinds through SFU work.
+        let mut w0 = WarpTrace::new();
+        for i in 0..16 {
+            w0.push(Instr::alu(Op::Sfu, Reg(i + 1), &[Reg(i + 1)]));
+        }
+        w0.push(Instr::bar());
+        w0.seal();
+        let mut w1 = WarpTrace::new();
+        w1.push(Instr::bar());
+        w1.push(Instr::alu(Op::IntAlu, Reg(1), &[]));
+        w1.seal();
+        let barrier = kernel("barrier", vec![w0, w1]);
+
+        // SFU pipe-bound: independent SFU ops from 8 warps.
+        let mut w = WarpTrace::new();
+        for i in 0..8 {
+            w.push(Instr::alu(Op::Sfu, Reg(i + 1), &[]));
+        }
+        w.seal();
+        let sfu = kernel("sfu", vec![w; 8]);
+
+        // Long-latency load feeding an FMA.
+        let mut w = WarpTrace::new();
+        w.push(Instr::load(
+            Reg(1),
+            MemAccess::coalesced(Space::Global, DataClass::Compute, 4, 0x1000, 32),
+        ));
+        w.push(Instr::alu(Op::FpFma, Reg(2), &[Reg(1)]));
+        w.seal();
+        let load = kernel("load", vec![w]);
+
+        // MSHR-full: 16 warps of independent loads, each lane on its own
+        // line, so the 8-deep LSU queue fills up.
+        let warps = (0..16u64)
+            .map(|wi| {
+                let mut w = WarpTrace::new();
+                for i in 0..4u64 {
+                    let addrs = (0..32).map(|l| ((wi * 4 + i) * 32 + l) * 128).collect();
+                    w.push(Instr::load(
+                        Reg(i as u16 + 1),
+                        MemAccess::scattered(Space::Global, DataClass::Compute, 4, addrs),
+                    ));
+                }
+                w.push(Instr::alu(Op::Tensor, Reg(8), &[Reg(1), Reg(4)]));
+                w.push(Instr::alu(Op::Branch, Reg(9), &[]));
+                w.seal();
+                w
+            })
+            .collect();
+        let mshr = kernel("mshr", warps);
+
+        for policy in [SchedulerPolicy::Gto, SchedulerPolicy::Lrr] {
+            let cfg = SmConfig {
+                scheduler: policy,
+                ..SmConfig::default()
+            };
+            let run = |k: &Arc<KernelTrace>| {
+                let mut sm = new_sm(cfg);
+                let mut m = mem();
+                launch(&mut sm, k, 0, 0);
+                let (commits, _) = run_to_completion(&mut sm, &mut m, 100_000);
+                assert_eq!(commits.len(), 1, "{} under {policy:?}", k.name);
+                sm.stalls()
+            };
+            assert!(run(&barrier).barrier > 0);
+            assert!(run(&sfu).pipe_busy > 0);
+            assert!(run(&load).mem_pending > 0);
+            let st = run(&mshr);
+            assert!(st.mshr_full > 0 && st.mem_pending > 0, "{policy:?}: {st:?}");
+        }
+    }
+
+    /// A two-stream run on the test GPU's SM (16 warp slots, 8 CTAs):
+    /// graphics-like CTAs with texture loads and barriers beside compute
+    /// CTAs with global loads, stores and SFU work, refilled as they
+    /// commit, with the oracle checking every cycle.
+    #[test]
+    fn two_stream_run_matches_the_slot_scan() {
+        let mut g = WarpTrace::new();
+        for i in 0..6u64 {
+            g.push(Instr::load(
+                Reg(1 + (i % 3) as u16),
+                MemAccess::coalesced(Space::Tex, DataClass::Texture, 4, 0x8000 + i * 512, 32),
+            ));
+            g.push(Instr::alu(Op::FpFma, Reg(4), &[Reg(1 + (i % 3) as u16)]));
+            g.push(Instr::bar_at((i % 2) as u8));
+        }
+        g.seal();
+        let graphics = kernel("g", vec![g; 4]);
+        let mut c = WarpTrace::new();
+        for i in 0..8u64 {
+            c.push(Instr::load(
+                Reg(5),
+                MemAccess::coalesced(Space::Global, DataClass::Compute, 4, 0x40000 + i * 4096, 32),
+            ));
+            c.push(Instr::alu(Op::Sfu, Reg(6), &[Reg(5)]));
+            c.push(Instr::alu(Op::IntAlu, Reg(7), &[]));
+            c.push(Instr::store(
+                Reg(6),
+                MemAccess::coalesced(Space::Global, DataClass::Compute, 4, 0x80000 + i * 128, 32),
+            ));
+        }
+        c.seal();
+        let compute = kernel("c", vec![c; 3]);
+
+        let cfg = SmConfig {
+            max_warps: 16,
+            max_threads: 512,
+            max_ctas: 8,
+            ..SmConfig::default()
+        };
+        for policy in [SchedulerPolicy::Gto, SchedulerPolicy::Lrr] {
+            let cfg = SmConfig {
+                scheduler: policy,
+                ..cfg
+            };
+            let mut sm = new_sm(cfg);
+            let mut m = mem();
+            let streams = [(StreamId(0), &graphics), (StreamId(1), &compute)];
+            let mut launched = [0usize; 2];
+            let mut committed = 0;
+            let mut seq = 0;
+            let mut now = 0;
+            while committed < 2 * 12 {
+                for (i, (stream, k)) in streams.iter().enumerate() {
+                    let work = CtaWork {
+                        stream: *stream,
+                        kernel: crisp_trace::KernelId(i as u32),
+                        info: Arc::new(crisp_trace::KernelInfo::of(k)),
+                        cta: Arc::new(k.ctas[0].clone()),
+                        cta_index: launched[i],
+                        seq,
+                    };
+                    if launched[i] < 12
+                        && sm.fits(*stream, work.resources(), ResourceQuota::unlimited())
+                    {
+                        sm.launch_cta(work);
+                        launched[i] += 1;
+                        seq += 1;
+                    }
+                }
+                committed += sm.cycle(now).commits.len();
+                let mut ports = [sm.port_mut()];
+                for c in m.tick(now, &mut ports) {
+                    sm.on_mem_completion(c.token.id);
+                }
+                now += 1;
+                assert!(now < 1_000_000, "the run finishes");
+            }
+            assert!(sm.issued_for(StreamId(0)) > 0 && sm.issued_for(StreamId(1)) > 0);
+            let st = sm.stalls();
+            assert!(
+                st.scoreboard > 0 && st.mem_pending > 0,
+                "{policy:?}: {st:?}"
+            );
+        }
     }
 
     #[test]

@@ -13,33 +13,42 @@ use crisp_trace::Op;
 
 use crate::config::SmConfig;
 
+/// A pipeline group: the opcodes that share one set of pipes. Variant
+/// order is checkpoint order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Pipe {
+    Fp,
+    Int,
+    Sfu,
+    Tensor,
+}
+
+impl Pipe {
+    /// The group executing `op`; `None` for memory, barrier and exit.
+    pub(crate) fn of(op: Op) -> Option<Pipe> {
+        match op {
+            Op::IntAlu | Op::Branch => Some(Pipe::Int),
+            Op::FpAlu | Op::FpMul | Op::FpFma => Some(Pipe::Fp),
+            Op::Sfu => Some(Pipe::Sfu),
+            Op::Tensor => Some(Pipe::Tensor),
+            Op::Bar(_) | Op::Exit | Op::Ld(_) | Op::St(_) => None,
+        }
+    }
+}
+
 /// Per-class pipeline availability for one SM.
 #[derive(Debug, Clone)]
 pub struct ExecUnits {
-    fp: Vec<u64>,
-    int: Vec<u64>,
-    sfu: Vec<u64>,
-    tensor: Vec<u64>,
+    /// Per [`Pipe`], the cycle each of its pipes next accepts an
+    /// instruction.
+    groups: [Vec<u64>; 4],
 }
 
 impl ExecUnits {
     /// Pipelines per the SM configuration, all idle.
     pub fn new(cfg: &SmConfig) -> Self {
         ExecUnits {
-            fp: vec![0; cfg.fp_units as usize],
-            int: vec![0; cfg.int_units as usize],
-            sfu: vec![0; cfg.sfu_units as usize],
-            tensor: vec![0; cfg.tensor_units as usize],
-        }
-    }
-
-    fn group_mut(&mut self, op: Op) -> Option<&mut Vec<u64>> {
-        match op {
-            Op::IntAlu | Op::Branch => Some(&mut self.int),
-            Op::FpAlu | Op::FpMul | Op::FpFma => Some(&mut self.fp),
-            Op::Sfu => Some(&mut self.sfu),
-            Op::Tensor => Some(&mut self.tensor),
-            _ => None,
+            groups: group_sizes(cfg).map(|n| vec![0; n as usize]),
         }
     }
 
@@ -48,44 +57,48 @@ impl ExecUnits {
     /// a pipeline group (memory, barrier, exit) always succeed.
     pub fn try_issue(&mut self, op: Op, now: u64, cfg: &SmConfig) -> bool {
         let (_lat, ii) = cfg.timing(op);
-        match self.group_mut(op) {
-            None => true,
-            Some(group) => match group.iter_mut().find(|next_free| **next_free <= now) {
-                Some(next_free) => {
-                    *next_free = now + ii;
-                    true
-                }
-                None => false,
-            },
+        let Some(pipe) = Pipe::of(op) else {
+            return true;
+        };
+        let group = &mut self.groups[pipe as usize];
+        match group.iter_mut().find(|next_free| **next_free <= now) {
+            Some(next_free) => {
+                *next_free = now + ii;
+                true
+            }
+            None => false,
         }
     }
 
     /// Number of busy pipelines in `op`'s class at `now` (0 for classes
     /// without pipelines).
     pub fn busy_count(&self, op: Op, now: u64) -> usize {
-        let group = match op {
-            Op::IntAlu | Op::Branch => &self.int,
-            Op::FpAlu | Op::FpMul | Op::FpFma => &self.fp,
-            Op::Sfu => &self.sfu,
-            Op::Tensor => &self.tensor,
-            _ => return 0,
-        };
-        group.iter().filter(|&&t| t > now).count()
+        Pipe::of(op).map_or(0, |p| {
+            self.groups[p as usize].iter().filter(|&&t| t > now).count()
+        })
+    }
+
+    /// Whether some pipe of `pipe` can accept an instruction at `now`
+    /// (false for a group configured with no pipes).
+    pub(crate) fn has_free(&self, pipe: Pipe, now: u64) -> bool {
+        self.groups[pipe as usize].iter().any(|&t| t <= now)
     }
 
     /// The earliest cycle after `now` at which a busy pipeline frees up,
     /// if any is busy.
     pub(crate) fn next_free_after(&self, now: u64) -> Option<u64> {
-        let mut next = u64::MAX;
-        for group in [&self.fp, &self.int, &self.sfu, &self.tensor] {
-            for &t in group {
-                if t > now && t < next {
-                    next = t;
-                }
-            }
-        }
-        (next != u64::MAX).then_some(next)
+        self.groups
+            .iter()
+            .flatten()
+            .copied()
+            .filter(|&t| t > now)
+            .min()
     }
+}
+
+/// Pipes per group, in [`Pipe`] order.
+fn group_sizes(cfg: &SmConfig) -> [u32; 4] {
+    [cfg.fp_units, cfg.int_units, cfg.sfu_units, cfg.tensor_units]
 }
 
 impl CheckpointState for ExecUnits {
@@ -94,7 +107,7 @@ impl CheckpointState for ExecUnits {
     type RestoreCtx<'a> = &'a SmConfig;
 
     fn save<W: io::Write>(&self, w: &mut Writer<W>, _: ()) -> io::Result<()> {
-        for group in [&self.fp, &self.int, &self.sfu, &self.tensor] {
+        for group in &self.groups {
             w.len(group.len())?;
             for &next_free in group {
                 w.u64(next_free)?;
@@ -104,21 +117,17 @@ impl CheckpointState for ExecUnits {
     }
 
     fn restore<R: io::Read>(r: &mut Reader<R>, cfg: &SmConfig) -> io::Result<Self> {
-        let mut read_group = |expected: u32| -> io::Result<Vec<u64>> {
+        let mut groups: [Vec<u64>; 4] = Default::default();
+        for (group, expected) in groups.iter_mut().zip(group_sizes(cfg)) {
             let n = r.len(expected as usize)?;
             if n != expected as usize {
                 return Err(bad(format!(
                     "exec-unit group has {n} pipes, config implies {expected}"
                 )));
             }
-            (0..n).map(|_| r.u64()).collect()
-        };
-        Ok(ExecUnits {
-            fp: read_group(cfg.fp_units)?,
-            int: read_group(cfg.int_units)?,
-            sfu: read_group(cfg.sfu_units)?,
-            tensor: read_group(cfg.tensor_units)?,
-        })
+            *group = (0..n).map(|_| r.u64()).collect::<io::Result<_>>()?;
+        }
+        Ok(ExecUnits { groups })
     }
 }
 
@@ -186,6 +195,12 @@ mod tests {
         let _ = u.try_issue(Op::Sfu, 10, &cfg);
         assert_eq!(u.busy_count(Op::Sfu, 10), 2);
         assert_eq!(u.busy_count(Op::Sfu, 14), 0);
+        assert!(u.has_free(Pipe::Sfu, 10), "2 of 4 SFU pipes are busy");
+        for _ in 0..2 {
+            let _ = u.try_issue(Op::Sfu, 10, &cfg);
+        }
+        assert!(!u.has_free(Pipe::Sfu, 13));
+        assert!(u.has_free(Pipe::Sfu, 14));
     }
 
     #[test]

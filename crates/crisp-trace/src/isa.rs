@@ -170,15 +170,43 @@ impl MemAccess {
     /// with the distinct chunk ids. Hot paths (functional cache warming
     /// replays every memory instruction of a skipped region) reuse one
     /// scratch vector across millions of calls.
+    ///
+    /// A power-of-two `chunk` (every caller's) maps an address with a shift
+    /// instead of a division. Each chunk id is inserted into the sorted
+    /// output as it is produced, so the output never holds more than the
+    /// distinct ids and needs no sort.
     pub fn distinct_chunks_into(&self, chunk: u64, out: &mut Vec<u64>) {
         out.clear();
-        for &a in &self.addrs {
-            let first = a / chunk;
-            let last = (a + self.width as u64 - 1) / chunk;
-            out.extend(first..=last);
+        if chunk.is_power_of_two() {
+            let shift = chunk.trailing_zeros();
+            self.insert_chunks(out, |a| a >> shift);
+        } else {
+            self.insert_chunks(out, |a| a / chunk);
         }
-        out.sort_unstable();
-        out.dedup();
+    }
+
+    #[inline(always)]
+    fn insert_chunks(&self, out: &mut Vec<u64>, chunk_of: impl Fn(u64) -> u64) {
+        let w = self.width as u64;
+        let mut prev = None;
+        for &a in &self.addrs {
+            let (first, last) = (chunk_of(a), chunk_of(a + w - 1));
+            // Most lanes fall in the chunk their neighbour ended in.
+            if first == last && prev == Some(first) {
+                continue;
+            }
+            prev = Some(last);
+            for c in first..=last {
+                // Lanes mostly ascend: walk back from the largest id.
+                let mut at = out.len();
+                while at > 0 && out[at - 1] > c {
+                    at -= 1;
+                }
+                if at == 0 || out[at - 1] != c {
+                    out.insert(at, c);
+                }
+            }
+        }
     }
 }
 
@@ -320,6 +348,49 @@ mod tests {
     fn scattered_access_distinct_lines() {
         let m = MemAccess::scattered(Space::Tex, DataClass::Texture, 4, vec![0, 128, 256, 130]);
         assert_eq!(m.distinct_chunks(128), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn distinct_chunks_match_a_sorted_deduplicated_reference() {
+        // splitmix64: a dependency-free, reproducible stream.
+        let mut state = 0x5eed_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut out = Vec::new();
+        for case in 0..20_000u64 {
+            let lanes = 1 + (next() % 32) as usize;
+            let width = 1 + (next() % 32) as u8;
+            let base = next() % (1 << 20);
+            let stride = next() % 80;
+            let addrs: Vec<u64> = (0..lanes as u64)
+                .map(|l| match case % 4 {
+                    // Ascending with an arbitrary (often unaligned) stride.
+                    0 => base + l * stride,
+                    // Descending.
+                    1 => base + (lanes as u64 - l) * stride,
+                    // Duplicated lanes.
+                    2 => base + (l / 4) * stride,
+                    // Scattered and unaligned.
+                    _ => next() % (1 << 12),
+                })
+                .collect();
+            let m = MemAccess::scattered(Space::Global, DataClass::Compute, width, addrs);
+            for chunk in [4, 32, 128, 48] {
+                let mut reference = Vec::new();
+                for &a in &m.addrs {
+                    reference.extend(a / chunk..=(a + width as u64 - 1) / chunk);
+                }
+                reference.sort_unstable();
+                reference.dedup();
+                m.distinct_chunks_into(chunk, &mut out);
+                assert_eq!(out, reference, "{m:?}, chunk {chunk}");
+            }
+        }
     }
 
     #[test]
