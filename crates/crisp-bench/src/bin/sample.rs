@@ -3,7 +3,7 @@
 //!
 //! Long traces — many frames of steady-state rendering plus a compute
 //! pipeline — rarely need cycle-accurate simulation of every frame. This
-//! binary demonstrates the `crisp-ckpt` sampling flow: functionally
+//! binary demonstrates the fast-forward sampling flow: functionally
 //! fast-forward over the first `reps` frames (advancing trace cursors and
 //! warming L1/L2/DRAM state, zero cycles charged), then simulate only the
 //! region of interest in detail. It reports:

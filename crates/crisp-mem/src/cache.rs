@@ -7,7 +7,7 @@
 
 use std::io;
 
-use crisp_ckpt::{bad, CheckpointState, Reader, Writer};
+use crisp_trace::wire::{bad, CheckpointState, Reader, Writer};
 use crisp_trace::{DataClass, StreamId, LINE_BYTES};
 
 use crate::req::MemReq;

@@ -8,7 +8,7 @@
 use std::collections::BTreeMap;
 use std::io;
 
-use crisp_ckpt::{bad, CheckpointState, Reader, Writer};
+use crisp_trace::wire::{bad, CheckpointState, Reader, Writer};
 use crisp_trace::{StreamId, SECTOR_BYTES};
 
 /// Bytes covered by one DRAM row (row-buffer granularity).

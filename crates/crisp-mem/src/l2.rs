@@ -9,7 +9,7 @@
 
 use std::io;
 
-use crisp_ckpt::{CheckpointState, Reader, Writer};
+use crisp_trace::wire::{CheckpointState, Reader, Writer};
 use crisp_trace::{DataClass, StreamId};
 
 use crate::cache::{AccessKind, AccessOutcome, CacheCore, CacheGeometry, Replacement, Writeback};

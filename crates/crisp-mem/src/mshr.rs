@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 use std::io;
 
-use crisp_ckpt::{bad, CheckpointState, Reader, Writer};
+use crisp_trace::wire::{bad, CheckpointState, Reader, Writer};
 
 use crate::req::ReqToken;
 

@@ -19,7 +19,7 @@
 use std::collections::HashMap;
 use std::io;
 
-use crisp_ckpt::{bad, CheckpointState, Reader, Writer};
+use crisp_trace::wire::{bad, CheckpointState, Reader, Writer};
 use crisp_trace::{StreamId, LINE_BYTES};
 
 /// Maps addresses to L2 banks, optionally restricting each stream to a bank

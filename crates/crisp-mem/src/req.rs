@@ -2,7 +2,7 @@
 
 use std::io;
 
-use crisp_ckpt::{CheckpointState, Reader, Writer};
+use crisp_trace::wire::{CheckpointState, Reader, Writer};
 use crisp_trace::{DataClass, StreamId, LINE_BYTES, SECTOR_BYTES};
 
 /// Sectors per cache line (128 B line / 32 B sector).

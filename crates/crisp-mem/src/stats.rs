@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 use std::io;
 
-use crisp_ckpt::{CheckpointState, Reader, Writer};
+use crisp_trace::wire::{CheckpointState, Reader, Writer};
 use crisp_trace::{DataClass, StreamId};
 
 /// Access/hit/miss counters kept per `(stream, class)` key.

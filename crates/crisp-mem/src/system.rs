@@ -15,7 +15,7 @@ use std::collections::BinaryHeap;
 use std::io;
 use std::time::Instant;
 
-use crisp_ckpt::{bad, CheckpointState, Reader, Writer};
+use crisp_trace::wire::{bad, CheckpointState, Reader, Writer};
 use crisp_trace::{DataClass, StreamId};
 
 use crate::cache::{CacheGeometry, Replacement};
@@ -465,7 +465,7 @@ impl CheckpointState for MemSystem {
                 w.u64(r.ready_at)?;
                 w.u64(r.sector)?;
                 w.stream(r.stream)?;
-                w.u8(r.class_idx)?;
+                w.class(idx_class(r.class_idx))?;
             }
         }
         let mut v: Vec<Response> = self.responses.iter().map(|Reverse(r)| *r).collect();
@@ -476,7 +476,7 @@ impl CheckpointState for MemSystem {
             w.u16(r.sm)?;
             w.u64(r.sector)?;
             w.stream(r.stream)?;
-            w.u8(r.class_idx)?;
+            w.class(idx_class(r.class_idx))?;
         }
         Ok(())
     }
@@ -515,10 +515,7 @@ impl CheckpointState for MemSystem {
                 let ready_at = r.u64()?;
                 let sector = r.u64()?;
                 let stream = r.stream()?;
-                let class_idx = r.u8()?;
-                if class_idx > 2 {
-                    return Err(bad(format!("bad data-class index {class_idx}")));
-                }
+                let class_idx = class_idx(r.class()?);
                 heap.push(Reverse(DramReturn {
                     ready_at,
                     sector,
@@ -538,10 +535,7 @@ impl CheckpointState for MemSystem {
             }
             let sector = r.u64()?;
             let stream = r.stream()?;
-            let class_idx = r.u8()?;
-            if class_idx > 2 {
-                return Err(bad(format!("bad data-class index {class_idx}")));
-            }
+            let class_idx = class_idx(r.class()?);
             responses.push(Reverse(Response {
                 ready_at,
                 sm,

@@ -5,7 +5,7 @@
 use std::collections::VecDeque;
 use std::io;
 
-use crisp_ckpt::{bad, CheckpointState, Reader, Writer};
+use crisp_trace::wire::{bad, CheckpointState, Reader, Writer};
 
 use crate::req::MemReq;
 

@@ -2,9 +2,9 @@
 
 use std::io;
 
-use crisp_ckpt::{bad, CheckpointState, Reader, Writer};
 use crisp_mem::{CacheGeometry, MemConfig, Replacement};
 use crisp_sm::SmConfig;
+use crisp_trace::wire::{bad, CheckpointState, Reader, Writer};
 use crisp_trace::LINE_BYTES;
 
 /// Configuration of a simulated GPU.

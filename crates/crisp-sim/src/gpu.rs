@@ -7,7 +7,6 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crisp_ckpt::{bad, CheckpointState, Reader, Writer};
 use crisp_mem::{
     BankMap, Completion, CompositionSnapshot, MemReq, MemStats, MemSystem, ReqToken, SetPartition,
     TapController, TickTimes,
@@ -18,6 +17,7 @@ use crisp_obs::{
     TraceRecorder, Track,
 };
 use crisp_sm::{CtaResources, CtaWork, CycleOutput, ResourceQuota, Sm, StallBreakdown};
+use crisp_trace::wire::{bad, CheckpointState, Reader, Writer};
 use crisp_trace::{
     CommandMeta, KernelId, KernelInfo, Space, StreamId, StreamKind, TraceBundle, TraceInput,
     TraceSource, TraceStats, SECTOR_BYTES,
@@ -2050,6 +2050,19 @@ impl GpuSim {
         Ok(())
     }
 
+    /// Magic tag opening every checkpoint file.
+    const CKPT_MAGIC: &'static [u8; 4] = b"CKPT";
+
+    /// Checkpoint format version. Version 2 replaced inline kernel payloads
+    /// (the old kernel-interning table) with trace-source provenance plus
+    /// per-warp `(kernel id, cta index)` cursors. Version 3 added named
+    /// barriers: per-slot arrival counts on every resident CTA and a barrier
+    /// slot byte on parked warps.
+    const CKPT_VERSION: u32 = 3;
+
+    /// Format name used in found-vs-expected error messages.
+    const CKPT_FORMAT_NAME: &'static str = "CKPT checkpoint";
+
     /// Write a checkpoint of the full architectural state to `path`
     /// (parent directories are created as needed).
     ///
@@ -2087,7 +2100,7 @@ impl GpuSim {
     /// Propagates I/O errors from the sink.
     pub fn write_checkpoint<W: io::Write>(&mut self, sink: W) -> io::Result<()> {
         let mut w = Writer::new(sink);
-        w.header()?;
+        w.header(Self::CKPT_MAGIC, Self::CKPT_VERSION)?;
         self.cfg.save(&mut w, ())?;
         self.spec.save(&mut w, ())?;
         w.u64(self.threads as u64)?;
@@ -2142,10 +2155,7 @@ impl GpuSim {
         w.len(self.streams.len())?;
         for st in &self.streams {
             w.stream(st.id)?;
-            w.u8(match st.kind {
-                StreamKind::Graphics => 0,
-                StreamKind::Compute => 1,
-            })?;
+            w.stream_kind(st.kind)?;
             w.u64(st.next_cmd as u64)?;
             w.option(st.current.as_ref(), |w, r| {
                 w.u32(r.kernel.0)?;
@@ -2221,7 +2231,11 @@ impl GpuSim {
     /// never panics.
     pub fn read_checkpoint<R: io::Read>(src: R) -> io::Result<GpuSim> {
         let mut r = Reader::new(src);
-        r.header()?;
+        r.header(
+            Self::CKPT_MAGIC,
+            &[Self::CKPT_VERSION],
+            Self::CKPT_FORMAT_NAME,
+        )?;
         let cfg = GpuConfig::restore(&mut r, ())?;
         let spec = PartitionSpec::restore(&mut r, ())?;
         let threads = r.u64()?.clamp(1, 1 << 16) as usize;
@@ -2263,11 +2277,7 @@ impl GpuSim {
         let mut streams = Vec::with_capacity(n_streams.min(64));
         for _ in 0..n_streams {
             let id = r.stream()?;
-            let kind = match r.u8()? {
-                0 => StreamKind::Graphics,
-                1 => StreamKind::Compute,
-                t => return Err(bad(format!("unknown stream-kind tag {t}"))),
-            };
+            let kind = r.stream_kind()?;
             let next_cmd = r.u64()? as usize;
             // Commands come from the re-opened source's directory, not the
             // checkpoint; the cursor is validated against it.

@@ -37,7 +37,8 @@
 //! Long simulations can **checkpoint and resume**: `.checkpoint_every(n)` /
 //! `.checkpoint_to(dir)` write the full architectural state (warp contexts,
 //! caches, MSHRs, queues, statistics, telemetry) into versioned `CKPT`
-//! files via `crisp-ckpt`, and [`Simulation::resume`] restores a simulator
+//! files through the `crisp_trace::wire` codec layer, and
+//! [`Simulation::resume`] restores a simulator
 //! that continues bit-identically at any worker-thread count. For region-of-
 //! interest sampling, `.fast_forward_to(marker)` functionally drains the
 //! commands before a marker — warming L1/L2/DRAM state without charging

@@ -3,9 +3,9 @@
 use std::collections::HashMap;
 use std::io;
 
-use crisp_ckpt::{bad, CheckpointState, Reader, Writer};
 use crisp_mem::TapConfig;
 use crisp_sm::{ResourceQuota, SmConfig};
+use crisp_trace::wire::{bad, CheckpointState, Reader, Writer};
 use crisp_trace::StreamId;
 
 use crate::config::GpuConfig;

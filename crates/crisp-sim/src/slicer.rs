@@ -9,8 +9,8 @@
 
 use std::io;
 
-use crisp_ckpt::{bad, CheckpointState, Reader, Writer};
 use crisp_sm::{ResourceQuota, SmConfig};
+use crisp_trace::wire::{bad, CheckpointState, Reader, Writer};
 use crisp_trace::StreamId;
 
 /// Warped-slicer tuning knobs.

@@ -8,7 +8,7 @@
 use std::collections::BTreeMap;
 use std::io;
 
-use crisp_ckpt::{CheckpointState, Reader, Writer};
+use crisp_trace::wire::{CheckpointState, Reader, Writer};
 use crisp_trace::StreamId;
 
 /// One occupancy sample: resident-warp fraction per stream at a cycle.

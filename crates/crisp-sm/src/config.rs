@@ -2,7 +2,7 @@
 
 use std::io;
 
-use crisp_ckpt::{bad, CheckpointState, Reader, Writer};
+use crisp_trace::wire::{bad, CheckpointState, Reader, Writer};
 use crisp_trace::{Op, Space};
 
 /// Warp-scheduler selection policy.

@@ -11,7 +11,7 @@ use std::collections::HashMap;
 use std::io;
 use std::sync::Arc;
 
-use crisp_ckpt::{CheckpointState, Reader, Writer};
+use crisp_trace::wire::{CheckpointState, Reader, Writer};
 use crisp_trace::{CtaTrace, KernelId, KernelInfo, KernelTrace, StreamId, WARP_SIZE};
 
 use crate::config::SmConfig;

@@ -10,8 +10,8 @@
 use std::collections::VecDeque;
 use std::io;
 
-use crisp_ckpt::{bad, CheckpointState, Reader, Writer};
 use crisp_mem::{L1AccessResult, MemReq, ReqToken, SmMemPort};
+use crisp_trace::wire::{bad, CheckpointState, Reader, Writer};
 use crisp_trace::{DataClass, Space, StreamId, WARP_SIZE};
 
 use crate::config::SmConfig;

@@ -5,8 +5,8 @@ use std::collections::{BinaryHeap, HashMap};
 use std::io;
 use std::mem;
 
-use crisp_ckpt::{bad, CheckpointState, Reader, Writer};
 use crisp_mem::{MemConfig, SmMemPort};
+use crisp_trace::wire::{bad, CheckpointState, Reader, Writer};
 use crisp_trace::{
     DataClass, KernelId, Op, Reg, Space, StreamId, TraceSource, NUM_BARRIERS, SECTOR_BYTES,
 };

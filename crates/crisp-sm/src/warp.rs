@@ -3,7 +3,7 @@
 use std::io;
 use std::sync::Arc;
 
-use crisp_ckpt::{bad, CheckpointState, Reader, Writer};
+use crisp_trace::wire::{bad, CheckpointState, Reader, Writer};
 use crisp_trace::{CtaTrace, Instr, KernelId, KernelInfo, Op, Reg, StreamId, TraceSource};
 
 /// Why a warp cannot issue right now.

@@ -5,14 +5,17 @@
 //! [`TraceBundle`] in a dense binary form: one byte per opcode,
 //! LEB128 varints for counts, and zig-zag delta encoding for per-lane
 //! addresses (consecutive lanes usually touch consecutive addresses, so
-//! deltas are tiny). No external crates; plain `std::io`.
+//! deltas are tiny). Every field goes through the typed
+//! [`wire`](crate::wire) layer, which the `CKPT` checkpoint format shares.
 //!
 //! Since format version 2 the container also carries a **kernel/CTA offset
 //! index**: the stream directory stores, per kernel launch, the byte span of
 //! every CTA's instruction payload. [`TraceSource`](crate::TraceSource) uses
 //! that index to demand-page individual CTAs out of a file without
-//! materializing the whole bundle; this module keeps reading version-1
-//! (index-less) files through a compatibility scan.
+//! materializing the whole bundle; version-1 (index-less) files still open
+//! through a compatibility scan that decodes them whole. Both layouts share
+//! one stream directory and one CTA blob encoding: a v1 launch carries its
+//! CTA blobs inline where a v2 launch carries their payload spans.
 //!
 //! # Example
 //!
@@ -35,129 +38,23 @@
 
 use std::io::{self, Read, Write};
 
-use crate::isa::{DataClass, Instr, MemAccess, Op, Reg, Space, MAX_SRCS};
+use crate::isa::{Instr, MemAccess, Op, Reg, MAX_SRCS};
 use crate::kernel::{CtaTrace, KernelTrace, WarpTrace};
 use crate::stream::{Command, Stream, StreamId, StreamKind, TraceBundle};
+use crate::wire::{bad, space_tag, tag_space, Reader, Writer};
 
-pub(crate) const MAGIC: &[u8; 4] = b"CRSP";
+const MAGIC: &[u8; 4] = b"CRSP";
+const FORMAT_NAME: &str = "CRSP trace";
 /// The original, index-less container layout (kernels inline in the stream
-/// directory). Still readable; no longer written.
-pub(crate) const VERSION_V1: u32 = 1;
+/// directory). Still readable; only written on request.
+const VERSION_V1: u32 = 1;
 /// The indexed layout: a stream directory with per-CTA `(offset, len)` spans
 /// followed by one contiguous payload of self-contained CTA blobs.
-pub(crate) const VERSION_V2: u32 = 2;
+const VERSION_V2: u32 = 2;
 
-fn bad(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
-}
-
-/// Read and validate a 4-byte magic tag, reporting found-vs-expected on a
-/// mismatch. `what` names the format (e.g. `"CRSP trace"`) so that feeding a
-/// checkpoint to the trace reader — or vice versa — fails with a message that
-/// identifies both files.
-///
-/// # Errors
-///
-/// `InvalidData` when the tag differs from `expected`; I/O errors otherwise.
-pub fn check_magic<R: Read>(r: &mut R, expected: &[u8; 4], what: &str) -> io::Result<()> {
-    let mut found = [0u8; 4];
-    r.read_exact(&mut found)?;
-    if &found != expected {
-        return Err(bad(&format!(
-            "not a {what} file: found magic `{}`, expected `{}`",
-            found.escape_ascii(),
-            expected.escape_ascii()
-        )));
-    }
-    Ok(())
-}
-
-/// Read a little-endian `u32` version field and require it to equal
-/// `expected`, reporting found-vs-expected on a mismatch.
-///
-/// # Errors
-///
-/// `InvalidData` when the version differs from `expected`; I/O errors
-/// otherwise.
-pub fn check_version<R: Read>(r: &mut R, expected: u32, what: &str) -> io::Result<()> {
-    let mut buf = [0u8; 4];
-    r.read_exact(&mut buf)?;
-    let found = u32::from_le_bytes(buf);
-    if found != expected {
-        return Err(bad(&format!(
-            "unsupported {what} version: found {found}, expected {expected}"
-        )));
-    }
-    Ok(())
-}
-
-/// Write `v` as an LEB128 varint.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the writer.
-pub fn write_varint<W: Write>(w: &mut W, mut v: u64) -> io::Result<()> {
-    loop {
-        let byte = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            return w.write_all(&[byte]);
-        }
-        w.write_all(&[byte | 0x80])?;
-    }
-}
-
-/// Read an LEB128 varint written by [`write_varint`].
-///
-/// # Errors
-///
-/// `InvalidData` on a varint longer than 64 bits; I/O errors otherwise.
-pub fn read_varint<R: Read>(r: &mut R) -> io::Result<u64> {
-    let mut v = 0u64;
-    let mut shift = 0;
-    loop {
-        let mut b = [0u8; 1];
-        r.read_exact(&mut b)?;
-        if shift >= 64 {
-            return Err(bad("varint overflow"));
-        }
-        v |= ((b[0] & 0x7F) as u64) << shift;
-        if b[0] & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-    }
-}
-
-/// Zig-zag map a signed value onto an unsigned one so small magnitudes of
-/// either sign encode as short varints.
-pub fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-/// Inverse of [`zigzag`].
-pub fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-fn space_tag(s: Space) -> u8 {
-    match s {
-        Space::Global => 0,
-        Space::Shared => 1,
-        Space::Local => 2,
-        Space::Tex => 3,
-    }
-}
-
-fn tag_space(t: u8) -> io::Result<Space> {
-    Ok(match t {
-        0 => Space::Global,
-        1 => Space::Shared,
-        2 => Space::Local,
-        3 => Space::Tex,
-        _ => return Err(bad("bad space tag")),
-    })
-}
+/// Command tags of a stream directory.
+const CMD_LAUNCH: u8 = 0;
+const CMD_MARKER: u8 = 1;
 
 /// Op tag 7 is the classic slot-0 barrier — containers carrying only
 /// `bar.sync 0` stay byte-identical to what pre-named-barrier readers
@@ -199,86 +96,69 @@ fn tag_op(t: u8) -> io::Result<Op> {
     })
 }
 
-fn class_tag(c: DataClass) -> u8 {
-    match c {
-        DataClass::Texture => 0,
-        DataClass::Pipeline => 1,
-        DataClass::Compute => 2,
-    }
+/// Registers travel as `u16`s with `u16::MAX` standing for "none".
+fn reg_word(r: Option<Reg>) -> u16 {
+    r.map_or(u16::MAX, |r| r.0)
 }
 
-fn tag_class(t: u8) -> io::Result<DataClass> {
-    Ok(match t {
-        0 => DataClass::Texture,
-        1 => DataClass::Pipeline,
-        2 => DataClass::Compute,
-        _ => return Err(bad("bad class tag")),
-    })
+fn word_reg(v: u16) -> Option<Reg> {
+    (v != u16::MAX).then_some(Reg(v))
 }
 
-fn write_instr<W: Write>(w: &mut W, i: &Instr) -> io::Result<()> {
-    w.write_all(&[op_tag(i.op)])?;
+fn write_instr<W: Write>(w: &mut Writer<W>, i: &Instr) -> io::Result<()> {
+    w.u8(op_tag(i.op))?;
     if let Op::Bar(id @ 1..) = i.op {
-        w.write_all(&[id])?;
+        w.u8(id)?;
     }
-    let dst = i.dst.map_or(u16::MAX, |r| r.0);
-    w.write_all(&dst.to_le_bytes())?;
-    for s in &i.srcs {
-        let v = s.map_or(u16::MAX, |r| r.0);
-        w.write_all(&v.to_le_bytes())?;
+    w.u16(reg_word(i.dst))?;
+    for &s in &i.srcs {
+        w.u16(reg_word(s))?;
     }
     if let Some(m) = &i.mem {
-        w.write_all(&[space_tag(m.space), class_tag(m.class), m.width])?;
-        write_varint(w, m.addrs.len() as u64)?;
+        w.space(m.space)?;
+        w.class(m.class)?;
+        w.u8(m.width)?;
+        // Lane addresses as zig-zag deltas: consecutive lanes usually touch
+        // consecutive addresses, so the deltas are tiny.
+        w.len(m.addrs.len())?;
         let mut prev = 0i64;
         for &a in &m.addrs {
-            let delta = a as i64 - prev;
-            write_varint(w, zigzag(delta))?;
+            w.i64(a as i64 - prev)?;
             prev = a as i64;
         }
     }
     Ok(())
 }
 
-fn read_instr<R: Read>(r: &mut R) -> io::Result<Instr> {
-    let mut tag = [0u8; 1];
-    r.read_exact(&mut tag)?;
-    let op = if tag[0] == OP_TAG_NAMED_BAR {
-        let mut id = [0u8; 1];
-        r.read_exact(&mut id)?;
+fn read_instr<R: Read>(r: &mut Reader<R>) -> io::Result<Instr> {
+    let tag = r.u8()?;
+    let op = if tag == OP_TAG_NAMED_BAR {
+        let id = r.u8()?;
         // Slot 0 must use tag 7 (canonical encoding) and slots stop at 15.
-        if id[0] == 0 || id[0] as usize >= crate::NUM_BARRIERS {
+        if id == 0 || id as usize >= crate::NUM_BARRIERS {
             return Err(bad("bad barrier slot"));
         }
-        Op::Bar(id[0])
+        Op::Bar(id)
     } else {
-        tag_op(tag[0])?
+        tag_op(tag)?
     };
-    let mut u16buf = [0u8; 2];
-    r.read_exact(&mut u16buf)?;
-    let dst_raw = u16::from_le_bytes(u16buf);
-    let dst = (dst_raw != u16::MAX).then_some(Reg(dst_raw));
+    let dst = word_reg(r.u16()?);
     let mut srcs = [None; MAX_SRCS];
     for s in &mut srcs {
-        r.read_exact(&mut u16buf)?;
-        let v = u16::from_le_bytes(u16buf);
-        *s = (v != u16::MAX).then_some(Reg(v));
+        *s = word_reg(r.u16()?);
     }
     let mem = if op.is_mem() {
-        let mut hdr = [0u8; 3];
-        r.read_exact(&mut hdr)?;
-        let space = tag_space(hdr[0])?;
-        let class = tag_class(hdr[1])?;
-        let width = hdr[2];
-        let n = read_varint(r)? as usize;
+        let space = r.space()?;
+        let class = r.class()?;
+        let width = r.u8()?;
+        let n = r.u64()? as usize;
         if n == 0 || n > crate::WARP_SIZE {
             return Err(bad("bad lane count"));
         }
         let mut addrs = Vec::with_capacity(n);
         let mut prev = 0i64;
         for _ in 0..n {
-            let delta = unzigzag(read_varint(r)?);
-            prev = prev.wrapping_add(delta);
+            prev = prev.wrapping_add(r.i64()?);
             addrs.push(prev as u64);
         }
         Some(MemAccess {
@@ -293,102 +173,12 @@ fn read_instr<R: Read>(r: &mut R) -> io::Result<Instr> {
     Ok(Instr { op, dst, srcs, mem })
 }
 
-/// Write a length-prefixed UTF-8 string.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the writer.
-pub fn write_string<W: Write>(w: &mut W, s: &str) -> io::Result<()> {
-    write_varint(w, s.len() as u64)?;
-    w.write_all(s.as_bytes())
-}
-
-/// Read a string written by [`write_string`]. Lengths above 1 MiB are
-/// rejected before allocating, so corrupt length prefixes cannot OOM.
-///
-/// # Errors
-///
-/// `InvalidData` on an oversized length or invalid UTF-8.
-pub fn read_string<R: Read>(r: &mut R) -> io::Result<String> {
-    let n = read_varint(r)? as usize;
-    if n > 1 << 20 {
-        return Err(bad("string too long"));
-    }
-    let mut buf = vec![0u8; n];
-    r.read_exact(&mut buf)?;
-    String::from_utf8(buf).map_err(|_| bad("invalid utf-8"))
-}
-
-/// Write one [`KernelTrace`] in the CRSP per-kernel layout (also reused by
-/// the checkpoint format for in-flight kernels).
-///
-/// # Errors
-///
-/// Propagates I/O errors from the writer.
-pub fn write_kernel<W: Write>(w: &mut W, k: &KernelTrace) -> io::Result<()> {
-    write_string(w, &k.name)?;
-    w.write_all(&k.block_threads.to_le_bytes())?;
-    w.write_all(&k.regs_per_thread.to_le_bytes())?;
-    w.write_all(&k.smem_per_cta.to_le_bytes())?;
-    write_varint(w, k.ctas.len() as u64)?;
-    for cta in &k.ctas {
-        write_varint(w, cta.warps.len() as u64)?;
-        for warp in &cta.warps {
-            write_varint(w, warp.len() as u64)?;
-            for i in warp.iter() {
-                write_instr(w, i)?;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Read a kernel written by [`write_kernel`].
-///
-/// # Errors
-///
-/// `InvalidData` on structural corruption — including CTAs with more warps
-/// than the block geometry allows, which would otherwise trip the
-/// [`KernelTrace::new`] assertion.
-pub fn read_kernel<R: Read>(r: &mut R) -> io::Result<KernelTrace> {
-    let name = read_string(r)?;
-    let mut u32buf = [0u8; 4];
-    r.read_exact(&mut u32buf)?;
-    let block_threads = u32::from_le_bytes(u32buf);
-    r.read_exact(&mut u32buf)?;
-    let regs = u32::from_le_bytes(u32buf);
-    r.read_exact(&mut u32buf)?;
-    let smem = u32::from_le_bytes(u32buf);
-    let max_warps = block_threads
-        .max(crate::WARP_SIZE as u32)
-        .div_ceil(crate::WARP_SIZE as u32) as usize;
-    let grid = read_varint(r)? as usize;
-    let mut ctas = Vec::with_capacity(grid.min(1 << 20));
-    for _ in 0..grid {
-        let n_warps = read_varint(r)? as usize;
-        if n_warps > max_warps {
-            return Err(bad("cta has more warps than the block geometry allows"));
-        }
-        let mut warps = Vec::with_capacity(n_warps.min(64));
-        for _ in 0..n_warps {
-            let n_instrs = read_varint(r)? as usize;
-            let mut warp = WarpTrace::new();
-            for _ in 0..n_instrs {
-                warp.push(read_instr(r)?);
-            }
-            warps.push(warp);
-        }
-        ctas.push(CtaTrace::new(warps));
-    }
-    Ok(KernelTrace::new(name, block_threads, regs, smem, ctas))
-}
-
 /// Encode one CTA's instruction streams as a self-contained blob:
 /// `n_warps` varint, then per warp `n_instrs` varint + instructions.
-pub(crate) fn write_cta_blob<W: Write>(w: &mut W, cta: &CtaTrace) -> io::Result<()> {
-    write_varint(w, cta.warps.len() as u64)?;
+fn write_cta_blob<W: Write>(w: &mut Writer<W>, cta: &CtaTrace) -> io::Result<()> {
+    w.len(cta.warps.len())?;
     for warp in &cta.warps {
-        write_varint(w, warp.len() as u64)?;
+        w.len(warp.len())?;
         for i in warp.iter() {
             write_instr(w, i)?;
         }
@@ -397,15 +187,16 @@ pub(crate) fn write_cta_blob<W: Write>(w: &mut W, cta: &CtaTrace) -> io::Result<
 }
 
 /// Decode a blob written by [`write_cta_blob`]. `max_warps` comes from the
-/// launch geometry; a blob claiming more is structural corruption.
-pub(crate) fn read_cta_blob<R: Read>(r: &mut R, max_warps: usize) -> io::Result<CtaTrace> {
-    let n_warps = read_varint(r)? as usize;
+/// launch geometry; a blob claiming more is structural corruption (and
+/// would otherwise trip the [`KernelTrace::new`] assertion).
+fn read_cta_blob<R: Read>(r: &mut Reader<R>, max_warps: usize) -> io::Result<CtaTrace> {
+    let n_warps = r.u64()? as usize;
     if n_warps > max_warps {
         return Err(bad("cta has more warps than the block geometry allows"));
     }
     let mut warps = Vec::with_capacity(n_warps.min(64));
     for _ in 0..n_warps {
-        let n_instrs = read_varint(r)? as usize;
+        let n_instrs = r.u64()? as usize;
         let mut warp = WarpTrace::new();
         for _ in 0..n_instrs {
             warp.push(read_instr(r)?);
@@ -413,6 +204,26 @@ pub(crate) fn read_cta_blob<R: Read>(r: &mut R, max_warps: usize) -> io::Result<
         warps.push(warp);
     }
     Ok(CtaTrace::new(warps))
+}
+
+/// Decode the CTA blob of one indexed span: exactly `len` bytes of `r`.
+///
+/// The span is read in one call and decoded from memory, so the per-field
+/// reads never reach the (boxed, seekable) container reader. The buffer
+/// grows only as bytes arrive: a corrupt length cannot allocate past the
+/// container's real size.
+pub(crate) fn read_cta_span<R: Read>(r: R, len: u64, max_warps: usize) -> io::Result<CtaTrace> {
+    let mut blob = Vec::new();
+    r.take(len).read_to_end(&mut blob)?;
+    if blob.len() as u64 != len {
+        return Err(bad("CTA span runs past the end of the container"));
+    }
+    let mut rest = blob.as_slice();
+    let cta = read_cta_blob(&mut Reader::new(&mut rest), max_warps)?;
+    if !rest.is_empty() {
+        return Err(bad("CTA blob shorter than its indexed span"));
+    }
+    Ok(cta)
 }
 
 /// Maximum warps per CTA implied by a block size (matches
@@ -423,31 +234,113 @@ pub(crate) fn max_warps_of(block_threads: u32) -> usize {
         .div_ceil(crate::WARP_SIZE as u32) as usize
 }
 
-/// One kernel entry of a version-2 stream directory: launch geometry plus
-/// the byte span of every CTA blob, relative to the payload start.
+/// One kernel entry of a stream directory: launch geometry plus one entry
+/// per CTA — its `(offset, len)` payload span in a version-2 directory, its
+/// decoded trace in a version-1 one. The grid size is `ctas.len()`.
 #[derive(Debug, Clone)]
-pub(crate) struct DirKernel {
+pub(crate) struct DirKernel<C = (u64, u64)> {
     pub name: String,
     pub block_threads: u32,
     pub regs_per_thread: u32,
     pub smem_per_cta: u32,
-    /// Per-CTA `(offset, len)` into the payload; the grid size is the length.
-    pub spans: Vec<(u64, u64)>,
+    pub ctas: Vec<C>,
 }
 
-/// One command of a version-2 stream directory.
+/// One command of a stream directory.
 #[derive(Debug, Clone)]
-pub(crate) enum DirCmd {
-    Launch(DirKernel),
+pub(crate) enum DirCmd<C = (u64, u64)> {
+    Launch(DirKernel<C>),
     Marker(String),
 }
 
-/// One stream of a version-2 directory.
+/// One stream of a directory.
 #[derive(Debug, Clone)]
-pub(crate) struct DirStream {
+pub(crate) struct DirStream<C = (u64, u64)> {
     pub id: StreamId,
     pub kind: StreamKind,
-    pub cmds: Vec<DirCmd>,
+    pub cmds: Vec<DirCmd<C>>,
+}
+
+/// Write the header and stream directory both layouts share. `ctas` writes
+/// the per-CTA part of each launch: inline blobs (v1) or payload spans (v2).
+fn write_directory<W: Write>(
+    w: &mut Writer<W>,
+    version: u32,
+    bundle: &TraceBundle,
+    mut ctas: impl FnMut(&mut Writer<W>, &KernelTrace) -> io::Result<()>,
+) -> io::Result<()> {
+    w.header(MAGIC, version)?;
+    w.len(bundle.streams.len())?;
+    for s in &bundle.streams {
+        w.stream(s.id)?;
+        w.stream_kind(s.kind)?;
+        w.len(s.commands.len())?;
+        for c in &s.commands {
+            match c {
+                Command::Launch(k) => {
+                    w.u8(CMD_LAUNCH)?;
+                    w.str(&k.name)?;
+                    w.u32(k.block_threads)?;
+                    w.u32(k.regs_per_thread)?;
+                    w.u32(k.smem_per_cta)?;
+                    w.len(k.ctas.len())?;
+                    ctas(w, k)?;
+                }
+                Command::Marker(m) => {
+                    w.u8(CMD_MARKER)?;
+                    w.str(m)?;
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Read a stream directory written by [`write_directory`] (after the
+/// header). `read_cta` reads one CTA entry of a launch, given the most
+/// warps the launch geometry allows.
+fn read_directory<R: Read, C>(
+    r: &mut Reader<R>,
+    mut read_cta: impl FnMut(&mut Reader<R>, usize) -> io::Result<C>,
+) -> io::Result<Vec<DirStream<C>>> {
+    let n_streams = r.u64()? as usize;
+    let mut streams: Vec<DirStream<C>> = Vec::with_capacity(n_streams.min(1024));
+    for _ in 0..n_streams {
+        let id = r.stream()?;
+        let kind = r.stream_kind()?;
+        let n_cmds = r.u64()? as usize;
+        let mut cmds = Vec::with_capacity(n_cmds.min(1 << 16));
+        for _ in 0..n_cmds {
+            cmds.push(match r.u8()? {
+                CMD_LAUNCH => {
+                    let name = r.str()?;
+                    let block_threads = r.u32()?;
+                    let regs_per_thread = r.u32()?;
+                    let smem_per_cta = r.u32()?;
+                    let grid = r.u64()? as usize;
+                    let max_warps = max_warps_of(block_threads);
+                    let mut ctas = Vec::with_capacity(grid.min(1 << 20));
+                    for _ in 0..grid {
+                        ctas.push(read_cta(r, max_warps)?);
+                    }
+                    DirCmd::Launch(DirKernel {
+                        name,
+                        block_threads,
+                        regs_per_thread,
+                        smem_per_cta,
+                        ctas,
+                    })
+                }
+                CMD_MARKER => DirCmd::Marker(r.str()?),
+                _ => return Err(bad("bad command tag")),
+            });
+        }
+        if streams.iter().any(|s| s.id == id) {
+            return Err(bad(format!("duplicate stream id {id} in directory")));
+        }
+        streams.push(DirStream { id, kind, cmds });
+    }
+    Ok(streams)
 }
 
 /// Serialize a bundle in the version-2 indexed layout, with a hook that lets
@@ -468,49 +361,26 @@ fn write_bundle_v2_core<W: Write>(
             if let Command::Launch(k) = c {
                 for cta in &k.ctas {
                     let offset = payload.len() as u64;
-                    write_cta_blob(&mut payload, cta)?;
+                    write_cta_blob(&mut Writer::new(&mut payload), cta)?;
                     spans.push((offset, payload.len() as u64 - offset));
                 }
             }
         }
     }
-    w.write_all(MAGIC)?;
-    w.write_all(&VERSION_V2.to_le_bytes())?;
-    write_varint(w, bundle.streams.len() as u64)?;
+    let mut w = Writer::new(w);
     let mut span_idx = 0usize;
-    for s in &bundle.streams {
-        w.write_all(&s.id.0.to_le_bytes())?;
-        w.write_all(&[match s.kind {
-            StreamKind::Graphics => 0,
-            StreamKind::Compute => 1,
-        }])?;
-        write_varint(w, s.commands.len() as u64)?;
-        for c in &s.commands {
-            match c {
-                Command::Launch(k) => {
-                    w.write_all(&[0])?;
-                    write_string(w, &k.name)?;
-                    w.write_all(&k.block_threads.to_le_bytes())?;
-                    w.write_all(&k.regs_per_thread.to_le_bytes())?;
-                    w.write_all(&k.smem_per_cta.to_le_bytes())?;
-                    write_varint(w, k.ctas.len() as u64)?;
-                    for _ in &k.ctas {
-                        let (off, len) = mutate_span(span_idx, spans[span_idx]);
-                        span_idx += 1;
-                        write_varint(w, off)?;
-                        write_varint(w, len)?;
-                    }
-                }
-                Command::Marker(m) => {
-                    w.write_all(&[1])?;
-                    write_string(w, m)?;
-                }
-            }
+    write_directory(&mut w, VERSION_V2, bundle, |w, k| {
+        for _ in &k.ctas {
+            let (off, len) = mutate_span(span_idx, spans[span_idx]);
+            span_idx += 1;
+            w.u64(off)?;
+            w.u64(len)?;
         }
-    }
-    write_varint(w, payload.len() as u64 + payload_pad.len() as u64)?;
-    w.write_all(&payload)?;
-    w.write_all(payload_pad)
+        Ok(())
+    })?;
+    w.len(payload.len() + payload_pad.len())?;
+    w.raw(&payload)?;
+    w.raw(payload_pad)
 }
 
 /// Write a bundle in the CRSP binary format (version 2, indexed).
@@ -536,108 +406,63 @@ pub fn write_bundle_mutated<W: Write>(
     write_bundle_v2_core(bundle, w, &mut mutate_span, payload_pad)
 }
 
-/// Write a bundle in the legacy version-1 (index-less) layout. Only useful
-/// for exercising the compatibility reader; new files are always version 2.
+/// Write a bundle in the legacy version-1 (index-less) layout: each launch
+/// carries its CTA blobs inline. Only useful for exercising the
+/// compatibility reader; new files are always version 2.
 #[doc(hidden)]
 pub fn write_bundle_v1<W: Write>(bundle: &TraceBundle, w: &mut W) -> io::Result<()> {
-    w.write_all(MAGIC)?;
-    w.write_all(&VERSION_V1.to_le_bytes())?;
-    write_varint(w, bundle.streams.len() as u64)?;
-    for s in &bundle.streams {
-        w.write_all(&s.id.0.to_le_bytes())?;
-        w.write_all(&[match s.kind {
-            StreamKind::Graphics => 0,
-            StreamKind::Compute => 1,
-        }])?;
-        write_varint(w, s.commands.len() as u64)?;
-        for c in &s.commands {
-            match c {
-                Command::Launch(k) => {
-                    w.write_all(&[0])?;
-                    write_kernel(w, k)?;
-                }
-                Command::Marker(m) => {
-                    w.write_all(&[1])?;
-                    write_string(w, m)?;
-                }
-            }
-        }
+    write_directory(&mut Writer::new(w), VERSION_V1, bundle, |w, k| {
+        k.ctas.iter().try_for_each(|cta| write_cta_blob(w, cta))
+    })
+}
+
+/// A container as [`read_container`] leaves it.
+pub(crate) enum Container {
+    /// A version-1 file, decoded whole (it has no index to page from).
+    Bundle(TraceBundle),
+    /// A version-2 file's validated directory; the reader stands at the
+    /// first payload byte.
+    Indexed(Vec<DirStream>),
+}
+
+/// Read a container's header and directory, dispatching on its version.
+pub(crate) fn read_container<R: Read>(r: R) -> io::Result<Container> {
+    let mut r = Reader::new(r);
+    if r.header(MAGIC, &[VERSION_V1, VERSION_V2], FORMAT_NAME)? == VERSION_V1 {
+        let dir = read_directory(&mut r, read_cta_blob)?;
+        return Ok(Container::Bundle(bundle_of(dir)));
     }
-    Ok(())
+    let dir = read_directory(&mut r, |r, _| Ok((r.u64()?, r.u64()?)))?;
+    validate_index(&dir, r.u64()?)?;
+    Ok(Container::Indexed(dir))
 }
 
-/// Read the little-endian `u32` version field after the magic.
-pub(crate) fn read_version<R: Read>(r: &mut R) -> io::Result<u32> {
-    let mut buf = [0u8; 4];
-    r.read_exact(&mut buf)?;
-    Ok(u32::from_le_bytes(buf))
-}
-
-pub(crate) fn unsupported_version(found: u32) -> io::Error {
-    bad(&format!(
-        "unsupported CRSP trace version: found {found}, expected 1 or 2"
-    ))
-}
-
-/// Read the stream directory and payload length of a version-2 container
-/// (everything between the version field and the payload bytes), validating
-/// the CTA index: every span must lie inside the payload, spans must not
-/// overlap, and together they must cover the payload exactly.
-pub(crate) fn read_directory_v2<R: Read>(r: &mut R) -> io::Result<(Vec<DirStream>, u64)> {
-    let mut u32buf = [0u8; 4];
-    let n_streams = read_varint(r)? as usize;
-    let mut streams = Vec::with_capacity(n_streams.min(1024));
-    for _ in 0..n_streams {
-        r.read_exact(&mut u32buf)?;
-        let id = StreamId(u32::from_le_bytes(u32buf));
-        let mut kind = [0u8; 1];
-        r.read_exact(&mut kind)?;
-        let kind = match kind[0] {
-            0 => StreamKind::Graphics,
-            1 => StreamKind::Compute,
-            _ => return Err(bad("bad stream kind")),
-        };
-        let n_cmds = read_varint(r)? as usize;
-        let mut cmds = Vec::with_capacity(n_cmds.min(1 << 16));
-        for _ in 0..n_cmds {
-            let mut tag = [0u8; 1];
-            r.read_exact(&mut tag)?;
-            match tag[0] {
-                0 => {
-                    let name = read_string(r)?;
-                    r.read_exact(&mut u32buf)?;
-                    let block_threads = u32::from_le_bytes(u32buf);
-                    r.read_exact(&mut u32buf)?;
-                    let regs_per_thread = u32::from_le_bytes(u32buf);
-                    r.read_exact(&mut u32buf)?;
-                    let smem_per_cta = u32::from_le_bytes(u32buf);
-                    let grid = read_varint(r)? as usize;
-                    let mut spans = Vec::with_capacity(grid.min(1 << 20));
-                    for _ in 0..grid {
-                        let off = read_varint(r)?;
-                        let len = read_varint(r)?;
-                        spans.push((off, len));
+/// Assemble a fully decoded (version-1) directory into a bundle.
+fn bundle_of(dir: Vec<DirStream<CtaTrace>>) -> TraceBundle {
+    let streams = dir
+        .into_iter()
+        .map(|d| {
+            let mut s = Stream::new(d.id, d.kind);
+            for c in d.cmds {
+                match c {
+                    DirCmd::Launch(k) => {
+                        s.launch(KernelTrace::new(
+                            k.name,
+                            k.block_threads,
+                            k.regs_per_thread,
+                            k.smem_per_cta,
+                            k.ctas,
+                        ));
                     }
-                    cmds.push(DirCmd::Launch(DirKernel {
-                        name,
-                        block_threads,
-                        regs_per_thread,
-                        smem_per_cta,
-                        spans,
-                    }));
+                    DirCmd::Marker(m) => {
+                        s.marker(m);
+                    }
                 }
-                1 => cmds.push(DirCmd::Marker(read_string(r)?)),
-                _ => return Err(bad("bad command tag")),
             }
-        }
-        if streams.iter().any(|s: &DirStream| s.id == id) {
-            return Err(bad(&format!("duplicate stream id {id} in directory")));
-        }
-        streams.push(DirStream { id, kind, cmds });
-    }
-    let payload_len = read_varint(r)?;
-    validate_index(&streams, payload_len)?;
-    Ok((streams, payload_len))
+            s
+        })
+        .collect();
+    TraceBundle::from_streams(streams)
 }
 
 /// The three structural invariants of the CTA index, each with its own
@@ -648,7 +473,7 @@ fn validate_index(streams: &[DirStream], payload_len: u64) -> io::Result<()> {
     for s in streams {
         for c in &s.cmds {
             if let DirCmd::Launch(k) = c {
-                all.extend_from_slice(&k.spans);
+                all.extend_from_slice(&k.ctas);
             }
         }
     }
@@ -657,7 +482,7 @@ fn validate_index(streams: &[DirStream], payload_len: u64) -> io::Result<()> {
             .checked_add(len)
             .ok_or_else(|| bad("CTA span offset overflow"))?;
         if end > payload_len {
-            return Err(bad(&format!(
+            return Err(bad(format!(
                 "CTA span out of bounds: offset {off} + len {len} exceeds payload of \
                  {payload_len} bytes"
             )));
@@ -670,147 +495,18 @@ fn validate_index(streams: &[DirStream], payload_len: u64) -> io::Result<()> {
             return Err(bad("overlapping CTA spans in trace index"));
         }
         if off > covered {
-            return Err(bad(&format!(
+            return Err(bad(format!(
                 "trace index does not cover the payload: gap at byte {covered}"
             )));
         }
         covered = off + len;
     }
     if covered != payload_len {
-        return Err(bad(&format!(
+        return Err(bad(format!(
             "trace index does not cover the payload: {covered} of {payload_len} bytes indexed"
         )));
     }
     Ok(())
-}
-
-/// Read the rest of a version-1 container (after magic + version).
-pub(crate) fn read_bundle_rest_v1<R: Read>(r: &mut R) -> io::Result<TraceBundle> {
-    let mut u32buf = [0u8; 4];
-    let n_streams = read_varint(r)? as usize;
-    let mut streams = Vec::with_capacity(n_streams.min(1024));
-    for _ in 0..n_streams {
-        r.read_exact(&mut u32buf)?;
-        let id = StreamId(u32::from_le_bytes(u32buf));
-        let mut kind = [0u8; 1];
-        r.read_exact(&mut kind)?;
-        let kind = match kind[0] {
-            0 => StreamKind::Graphics,
-            1 => StreamKind::Compute,
-            _ => return Err(bad("bad stream kind")),
-        };
-        let n_cmds = read_varint(r)? as usize;
-        let mut s = Stream::new(id, kind);
-        for _ in 0..n_cmds {
-            let mut tag = [0u8; 1];
-            r.read_exact(&mut tag)?;
-            match tag[0] {
-                0 => {
-                    s.launch(read_kernel(r)?);
-                }
-                1 => {
-                    s.marker(read_string(r)?);
-                }
-                _ => return Err(bad("bad command tag")),
-            }
-        }
-        if streams.iter().any(|x: &Stream| x.id == id) {
-            return Err(bad(&format!("duplicate stream id {id} in directory")));
-        }
-        streams.push(s);
-    }
-    Ok(TraceBundle::from_streams(streams))
-}
-
-/// Read the rest of a version-2 container (after magic + version),
-/// materializing every CTA. The payload is consumed sequentially — the
-/// index validation guarantees spans tile it in offset order — so this
-/// works on plain non-seekable readers.
-pub(crate) fn read_bundle_rest_v2<R: Read>(r: &mut R) -> io::Result<TraceBundle> {
-    let (dir, payload_len) = read_directory_v2(r)?;
-    // Decode blobs in payload order, then hand them back out in index order.
-    let mut order: Vec<(u64, u64, usize, usize, usize)> = Vec::new(); // (off, len, stream, cmd, cta)
-    for (si, s) in dir.iter().enumerate() {
-        for (ci, c) in s.cmds.iter().enumerate() {
-            if let DirCmd::Launch(k) = c {
-                for (cta, &(off, len)) in k.spans.iter().enumerate() {
-                    order.push((off, len, si, ci, cta));
-                }
-            }
-        }
-    }
-    order.sort_unstable();
-    let mut decoded: std::collections::BTreeMap<(usize, usize, usize), CtaTrace> =
-        std::collections::BTreeMap::new();
-    let mut pos = 0u64;
-    for &(off, len, si, ci, cta) in &order {
-        debug_assert_eq!(off, pos, "index validation guarantees exact tiling");
-        let max_warps = match &dir[si].cmds[ci] {
-            DirCmd::Launch(k) => max_warps_of(k.block_threads),
-            DirCmd::Marker(_) => unreachable!("order only holds launches"),
-        };
-        let mut lim = r.take(len);
-        let blob = read_cta_blob(&mut lim, max_warps)?;
-        if lim.limit() != 0 {
-            return Err(bad("CTA blob shorter than its indexed span"));
-        }
-        decoded.insert((si, ci, cta), blob);
-        pos = off + len;
-    }
-    debug_assert_eq!(pos, payload_len);
-    let mut streams = Vec::with_capacity(dir.len());
-    for (si, d) in dir.into_iter().enumerate() {
-        let mut s = Stream::new(d.id, d.kind);
-        for (ci, c) in d.cmds.into_iter().enumerate() {
-            match c {
-                DirCmd::Launch(k) => {
-                    let ctas: Vec<CtaTrace> = (0..k.spans.len())
-                        .map(|cta| decoded.remove(&(si, ci, cta)).expect("decoded above"))
-                        .collect();
-                    s.launch(KernelTrace::new(
-                        k.name,
-                        k.block_threads,
-                        k.regs_per_thread,
-                        k.smem_per_cta,
-                        ctas,
-                    ));
-                }
-                DirCmd::Marker(m) => {
-                    s.marker(m);
-                }
-            }
-        }
-        streams.push(s);
-    }
-    Ok(TraceBundle::from_streams(streams))
-}
-
-/// Internal bundle reader shared by the deprecated entry points and
-/// [`TraceSource`](crate::TraceSource): dispatches on the version field and
-/// materializes the whole bundle.
-pub(crate) fn read_bundle_impl<R: Read>(r: &mut R) -> io::Result<TraceBundle> {
-    check_magic(r, MAGIC, "CRSP trace")?;
-    match read_version(r)? {
-        VERSION_V1 => read_bundle_rest_v1(r),
-        VERSION_V2 => read_bundle_rest_v2(r),
-        found => Err(unsupported_version(found)),
-    }
-}
-
-/// Read a bundle written by [`write_bundle`] (either format version),
-/// materializing every CTA in memory.
-///
-/// # Errors
-///
-/// Returns `InvalidData` on a bad magic number, version or structure, and
-/// propagates underlying I/O errors.
-#[deprecated(
-    since = "0.6.0",
-    note = "open a `TraceSource` via `TraceInput` instead; it demand-pages CTAs \
-            and still offers `to_bundle()` for full materialization"
-)]
-pub fn read_bundle<R: Read>(r: &mut R) -> io::Result<TraceBundle> {
-    read_bundle_impl(r)
 }
 
 /// Write a bundle to a file.
@@ -824,25 +520,11 @@ pub fn save(bundle: &TraceBundle, path: impl AsRef<std::path::Path>) -> io::Resu
     f.flush()
 }
 
-/// Read a bundle from a file, materializing every CTA in memory.
-///
-/// # Errors
-///
-/// Propagates filesystem errors and format errors from [`read_bundle`].
-#[deprecated(
-    since = "0.6.0",
-    note = "open a `TraceSource` via `TraceInput::from(path).open()` instead; it \
-            demand-pages CTAs and still offers `to_bundle()` for full materialization"
-)]
-pub fn load(path: impl AsRef<std::path::Path>) -> io::Result<TraceBundle> {
-    let mut f = io::BufReader::new(std::fs::File::open(path)?);
-    read_bundle_impl(&mut f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::isa::{DataClass, Instr, MemAccess, Op, Reg, Space};
+    use crate::source::TraceInput;
 
     fn sample_bundle() -> TraceBundle {
         let mut w = WarpTrace::new();
@@ -876,13 +558,20 @@ mod tests {
         TraceBundle::from_streams(vec![g, c])
     }
 
+    /// Decode a whole container the way every caller does: open a source,
+    /// then materialize it.
+    fn decode(bytes: &[u8]) -> io::Result<TraceBundle> {
+        TraceInput::reader(io::Cursor::new(bytes.to_vec()))
+            .open()?
+            .to_bundle()
+    }
+
     #[test]
     fn roundtrip_preserves_everything() {
         let b = sample_bundle();
         let mut buf = Vec::new();
         write_bundle(&b, &mut buf).unwrap();
-        let back = read_bundle_impl(&mut buf.as_slice()).unwrap();
-        assert_eq!(b, back);
+        assert_eq!(b, decode(&buf).unwrap());
     }
 
     #[test]
@@ -890,18 +579,7 @@ mod tests {
         let b = sample_bundle();
         let mut buf = Vec::new();
         write_bundle_v1(&b, &mut buf).unwrap();
-        let back = read_bundle_impl(&mut buf.as_slice()).unwrap();
-        assert_eq!(b, back);
-    }
-
-    #[test]
-    fn deprecated_entry_points_still_work() {
-        let b = sample_bundle();
-        let mut buf = Vec::new();
-        write_bundle(&b, &mut buf).unwrap();
-        #[allow(deprecated)]
-        let back = read_bundle(&mut buf.as_slice()).unwrap();
-        assert_eq!(b, back);
+        assert_eq!(b, decode(&buf).unwrap());
     }
 
     #[test]
@@ -919,15 +597,20 @@ mod tests {
     fn varint_roundtrip_extremes() {
         for v in [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX] {
             let mut buf = Vec::new();
-            write_varint(&mut buf, v).unwrap();
-            assert_eq!(read_varint(&mut buf.as_slice()).unwrap(), v);
+            Writer::new(&mut buf).u64(v).unwrap();
+            assert_eq!(Reader::new(buf.as_slice()).u64().unwrap(), v);
         }
     }
 
     #[test]
     fn zigzag_roundtrip() {
         for v in [0i64, 1, -1, 63, -64, i64::MAX, i64::MIN + 1] {
-            assert_eq!(unzigzag(zigzag(v)), v);
+            let mut buf = Vec::new();
+            Writer::new(&mut buf).i64(v).unwrap();
+            assert_eq!(Reader::new(buf.as_slice()).i64().unwrap(), v);
+            if (-64..64).contains(&v) {
+                assert_eq!(buf.len(), 1, "small magnitude {v} must stay one byte");
+            }
         }
     }
 
@@ -935,16 +618,14 @@ mod tests {
     fn bad_magic_is_rejected() {
         let mut buf = b"NOPE".to_vec();
         buf.extend_from_slice(&1u32.to_le_bytes());
-        assert!(read_bundle_impl(&mut buf.as_slice()).is_err());
+        assert!(decode(&buf).is_err());
     }
 
     #[test]
     fn magic_errors_report_found_and_expected() {
         let mut buf = b"CKPT".to_vec();
         buf.extend_from_slice(&1u32.to_le_bytes());
-        let err = read_bundle_impl(&mut buf.as_slice())
-            .unwrap_err()
-            .to_string();
+        let err = decode(&buf).unwrap_err().to_string();
         assert!(err.contains("CKPT"), "found magic missing: {err}");
         assert!(err.contains("CRSP"), "expected magic missing: {err}");
     }
@@ -953,9 +634,7 @@ mod tests {
     fn version_errors_report_found_and_expected() {
         let mut buf = MAGIC.to_vec();
         buf.extend_from_slice(&42u32.to_le_bytes());
-        let err = read_bundle_impl(&mut buf.as_slice())
-            .unwrap_err()
-            .to_string();
+        let err = decode(&buf).unwrap_err().to_string();
         assert!(err.contains("found 42"), "found version missing: {err}");
         assert!(
             err.contains("expected 1 or 2"),
@@ -980,9 +659,7 @@ mod tests {
             &[],
         )
         .unwrap();
-        let err = read_bundle_impl(&mut buf.as_slice())
-            .unwrap_err()
-            .to_string();
+        let err = decode(&buf).unwrap_err().to_string();
         assert!(err.contains("out of bounds"), "wrong error: {err}");
     }
 
@@ -1006,9 +683,7 @@ mod tests {
             &[],
         )
         .unwrap();
-        let err = read_bundle_impl(&mut buf.as_slice())
-            .unwrap_err()
-            .to_string();
+        let err = decode(&buf).unwrap_err().to_string();
         assert!(err.contains("overlapping"), "wrong error: {err}");
     }
 
@@ -1017,23 +692,30 @@ mod tests {
         let b = sample_bundle();
         let mut buf = Vec::new();
         write_bundle_mutated(&b, &mut buf, |_, s| s, &[0xAA; 7]).unwrap();
-        let err = read_bundle_impl(&mut buf.as_slice())
-            .unwrap_err()
-            .to_string();
+        let err = decode(&buf).unwrap_err().to_string();
         assert!(err.contains("does not cover"), "wrong error: {err}");
     }
 
     #[test]
     fn overfull_cta_in_stream_is_an_error_not_a_panic() {
-        // Hand-craft a kernel whose CTA claims 2 warps in a 32-thread block.
+        // Hand-craft a v1 container whose only CTA claims 2 warps in a
+        // 32-thread block.
         let mut buf = Vec::new();
-        write_string(&mut buf, "k").unwrap();
-        buf.extend_from_slice(&32u32.to_le_bytes()); // block_threads
-        buf.extend_from_slice(&8u32.to_le_bytes()); // regs
-        buf.extend_from_slice(&0u32.to_le_bytes()); // smem
-        write_varint(&mut buf, 1).unwrap(); // grid
-        write_varint(&mut buf, 2).unwrap(); // warps in cta 0: too many
-        assert!(read_kernel(&mut buf.as_slice()).is_err());
+        let mut w = Writer::new(&mut buf);
+        w.header(MAGIC, VERSION_V1).unwrap();
+        w.len(1).unwrap(); // streams
+        w.stream(StreamId(0)).unwrap();
+        w.stream_kind(StreamKind::Compute).unwrap();
+        w.len(1).unwrap(); // commands
+        w.u8(CMD_LAUNCH).unwrap();
+        w.str("k").unwrap();
+        w.u32(32).unwrap(); // block_threads
+        w.u32(8).unwrap(); // regs
+        w.u32(0).unwrap(); // smem
+        w.len(1).unwrap(); // grid
+        w.len(2).unwrap(); // warps in cta 0: too many
+        let err = decode(&buf).unwrap_err().to_string();
+        assert!(err.contains("more warps"), "wrong error: {err}");
     }
 
     #[test]
@@ -1042,10 +724,7 @@ mod tests {
         let mut buf = Vec::new();
         write_bundle(&b, &mut buf).unwrap();
         for cut in [5, 10, buf.len() / 2, buf.len() - 1] {
-            assert!(
-                read_bundle_impl(&mut buf[..cut].to_vec().as_slice()).is_err(),
-                "cut at {cut}"
-            );
+            assert!(decode(&buf[..cut]).is_err(), "cut at {cut}");
         }
     }
 
@@ -1054,9 +733,8 @@ mod tests {
         let b = sample_bundle();
         let p = std::env::temp_dir().join("crisp_codec_test.crsp");
         save(&b, &p).unwrap();
-        #[allow(deprecated)]
-        let back = load(&p).unwrap();
-        assert_eq!(b, back);
+        let back = TraceInput::from(p.clone()).open().unwrap().to_bundle();
+        assert_eq!(b, back.unwrap());
         let _ = std::fs::remove_file(p);
     }
 
@@ -1087,7 +765,7 @@ mod tests {
     fn named_barrier_instr_roundtrips() {
         for id in 0..crate::NUM_BARRIERS as u8 {
             let mut bytes = Vec::new();
-            write_instr(&mut bytes, &Instr::bar_at(id)).unwrap();
+            write_instr(&mut Writer::new(&mut bytes), &Instr::bar_at(id)).unwrap();
             if id == 0 {
                 // Slot 0 keeps the classic one-byte tag: pre-named-barrier
                 // containers and their readers stay byte-compatible.
@@ -1095,7 +773,7 @@ mod tests {
             } else {
                 assert_eq!(&bytes[..2], &[OP_TAG_NAMED_BAR, id]);
             }
-            let back = read_instr(&mut bytes.as_slice()).unwrap();
+            let back = read_instr(&mut Reader::new(bytes.as_slice())).unwrap();
             assert_eq!(back.op, Op::Bar(id));
         }
     }
@@ -1104,10 +782,10 @@ mod tests {
     fn non_canonical_or_out_of_range_barrier_slots_are_rejected() {
         for bad_id in [0u8, 16, 200] {
             let mut bytes = Vec::new();
-            write_instr(&mut bytes, &Instr::bar()).unwrap();
+            write_instr(&mut Writer::new(&mut bytes), &Instr::bar()).unwrap();
             bytes[0] = OP_TAG_NAMED_BAR;
             bytes.insert(1, bad_id);
-            let err = read_instr(&mut bytes.as_slice()).unwrap_err();
+            let err = read_instr(&mut Reader::new(bytes.as_slice())).unwrap_err();
             assert!(err.to_string().contains("barrier slot"), "{err}");
         }
     }

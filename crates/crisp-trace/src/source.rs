@@ -46,14 +46,11 @@ use std::io::{self, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use crate::codec::{self, DirCmd, DirStream};
+use crate::codec::{self, Container, DirCmd, DirStream};
 use crate::kernel::{CtaTrace, KernelTrace};
 use crate::stream::{Command, Stream, StreamId, StreamKind, TraceBundle};
+use crate::wire::bad;
 use crate::WARP_SIZE;
-
-fn bad(msg: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
-}
 
 /// A byte source a [`TraceSource`] can stream from: readable, seekable, and
 /// movable across threads. Blanket-implemented; `io::Cursor<Vec<u8>>`,
@@ -424,17 +421,14 @@ impl TraceSource {
         provenance: Provenance,
     ) -> io::Result<TraceSource> {
         reader.seek(SeekFrom::Start(0))?;
-        codec::check_magic(&mut reader, codec::MAGIC, "CRSP trace")?;
-        match codec::read_version(&mut reader)? {
-            codec::VERSION_V1 => {
-                // Compatibility scan: old files have no index; decode whole.
-                let bundle = codec::read_bundle_rest_v1(&mut reader)?;
+        match codec::read_container(&mut reader)? {
+            Container::Bundle(bundle) => {
+                // Compatibility scan: v1 files have no index; decoded whole.
                 let mut src = TraceSource::from_bundle(bundle);
                 src.provenance = provenance;
                 Ok(src)
             }
-            codec::VERSION_V2 => {
-                let (dir, _payload_len) = codec::read_directory_v2(&mut reader)?;
+            Container::Indexed(dir) => {
                 let payload_start = reader.stream_position()?;
                 Ok(TraceSource::from_directory(
                     dir,
@@ -443,7 +437,6 @@ impl TraceSource {
                     provenance,
                 ))
             }
-            found => Err(codec::unsupported_version(found)),
         }
     }
 
@@ -466,13 +459,13 @@ impl TraceSource {
                             block_threads: k.block_threads.max(WARP_SIZE as u32),
                             regs_per_thread: k.regs_per_thread,
                             smem_per_cta: k.smem_per_cta,
-                            grid: k.spans.len(),
+                            grid: k.ctas.len(),
                         });
                         kernels.push(KernelEntry {
                             stream: s.id,
                             info: info.clone(),
                             ctas: CtaStore::Lazy {
-                                spans: k.spans,
+                                spans: k.ctas,
                                 resident: BTreeMap::new(),
                             },
                         });
@@ -604,15 +597,10 @@ impl TraceSource {
                     payload_start,
                 } = &mut self.backing
                 else {
-                    return Err(bad("lazy CTA store without a streaming backing".into()));
+                    return Err(bad("lazy CTA store without a streaming backing"));
                 };
                 reader.seek(SeekFrom::Start(*payload_start + off))?;
-                let mut lim = (&mut **reader).take(len);
-                let blob = codec::read_cta_blob(&mut lim, max_warps)?;
-                if lim.limit() != 0 {
-                    return Err(bad("CTA blob shorter than its indexed span".into()));
-                }
-                let arc = Arc::new(blob);
+                let arc = Arc::new(codec::read_cta_span(&mut **reader, len, max_warps)?);
                 resident.insert(cta_index, arc.clone());
                 self.stats.on_decode(cta_cost(&arc));
                 Ok(arc)

@@ -583,7 +583,8 @@ fn assert_reader_robust<T>(bytes: &[u8], read: impl Fn(&[u8]) -> std::io::Result
     }
 }
 
-/// Corrupt `CRSP` bundles must be rejected with `Err`, never a panic.
+/// Corrupt `CRSP` bundles, in both container layouts, must be rejected with
+/// `Err`, never a panic.
 #[test]
 fn corrupt_trace_bundles_are_rejected_not_fatal() {
     let mut rng = Rng::new(11);
@@ -609,17 +610,18 @@ fn corrupt_trace_bundles_are_rejected_not_fatal() {
         ));
     }
     let bundle = TraceBundle::from_streams(vec![stream]);
+    let decode = |b: &[u8]| {
+        crisp_trace::TraceInput::reader(std::io::Cursor::new(b.to_vec()))
+            .open()
+            .and_then(|mut s| s.to_bundle())
+    };
     let mut bytes = Vec::new();
     crisp_trace::codec::write_bundle(&bundle, &mut bytes).expect("write");
-    assert_reader_robust(
-        &bytes,
-        |b| {
-            crisp_trace::TraceInput::reader(std::io::Cursor::new(b.to_vec()))
-                .open()
-                .and_then(|mut s| s.to_bundle())
-        },
-        "CRSP bundle",
-    );
+    assert_reader_robust(&bytes, decode, "CRSP bundle");
+    // The index-less v1 layout goes through its own compatibility reader.
+    let mut v1 = Vec::new();
+    crisp_trace::codec::write_bundle_v1(&bundle, &mut v1).expect("write v1");
+    assert_reader_robust(&v1, decode, "CRSP v1 bundle");
 }
 
 /// Corrupt `CKPT` checkpoints must be rejected with `Err`, never a panic —
